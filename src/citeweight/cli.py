@@ -28,8 +28,8 @@ from .matrix import (
     transpose,
 )
 from .metrics import (
+    influence_trace,
     pinski_narin_normalize,
-    power_iterate,
     power_weakness_ratio,
     self_citation_diagnostics,
 )
@@ -227,27 +227,15 @@ def _base_meta(args, source: str, indicator: str) -> dict:
     }
 
 
-def _iterate_weights(m: CitationMatrix, args):
-    """Shared iw runner: returns the trace, raising on tolerance-mode
-    non-convergence so the caller exits 3."""
-    working = m if getattr(args, "self_citations", True) else strip_self_citations(m)
-    trace = power_iterate(
-        pinski_narin_normalize(working),
+def _cmd_iw(args):
+    m, source = _load_input(args)
+    trace = influence_trace(
+        m,
+        self_citations=args.self_citations,
         cycles=args.iterations,
         tolerance=args.tolerance,
         max_cycles=args.max_iterations,
     )
-    if args.iterations is None and not trace.converged:
-        raise NumericalError(
-            f"influence weights did not converge within {args.max_iterations} cycles "
-            f"(final delta {trace.steps[-1].delta:.3g} above tolerance {args.tolerance:g})"
-        )
-    return trace
-
-
-def _cmd_iw(args):
-    m, source = _load_input(args)
-    trace = _iterate_weights(m, args)
     sections = (
         weights_section(
             "iw", f"Influence weights ({trace.iterations_used} cycles)", trace.final

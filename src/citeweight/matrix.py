@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,8 +162,22 @@ def parse_matrix_csv(
         duplicate or mismatched labels, and sizes outside [2, max_size].
     """
     text = _decode(data)
+    # Stop at the first row past the cap, so an oversized input is never
+    # materialised; the header row of a labeled matrix does not count.
+    row_cap = max_size + 1 if labeled else max_size
+    rows = []
     # newline='' hands CRLF through to the csv reader, which understands it.
-    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    # The reader is not kept in a local: its StringIO holds a copy of the
+    # text at four bytes a character, which must be freed before conversion.
+    for row in csv.reader(io.StringIO(text, newline="")):
+        if not row:
+            continue
+        if len(rows) == row_cap:
+            raise CitationDataError(
+                f"matrix has more than {max_size} rows, above the max_size limit "
+                "(raise max_size to allow it)"
+            )
+        rows.append(row)
     if not rows:
         raise CitationDataError("input contains no data rows")
 
@@ -199,21 +214,29 @@ def parse_matrix_csv(
         label_set = JournalSet(tuple(f"J{i}" for i in range(1, n + 1)))
         cells = rows
 
-    if n > max_size:
-        raise CitationDataError(
-            f"matrix size {n} exceeds the {max_size} limit (raise max_size to allow it)"
-        )
+    # Matching labels make the labeled grid n x n as well.  Only the
+    # conversion sits in the try: CitationDataError is a ValueError, and the
+    # finite and sign checks of CitationMatrix must not be caught here.
+    try:
+        values = np.fromiter(
+            map(float, itertools.chain.from_iterable(cells)), dtype=float, count=n * n
+        ).reshape(n, n)
+    except ValueError:
+        _raise_first_non_numeric(cells)
+        raise
+    return CitationMatrix(label_set, values)
 
-    values = np.empty((n, len(cells[0])), dtype=float) if cells else np.empty((0, 0))
+
+def _raise_first_non_numeric(cells: list[list[str]]) -> None:
+    """Name the first cell, in row-major order, that ``float`` rejects."""
     for i, row in enumerate(cells):
         for j, field in enumerate(row):
             try:
-                values[i, j] = float(field)
+                float(field)
             except ValueError as exc:
                 raise CitationDataError(
                     f"non-numeric cell at row {i + 1}, column {j + 1}: {field!r}"
                 ) from exc
-    return CitationMatrix(label_set, values)
 
 
 def serialize_matrix_csv(m: CitationMatrix, labeled: bool = False) -> str:

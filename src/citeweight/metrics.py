@@ -10,6 +10,7 @@ and per-journal self-citation diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,6 +188,18 @@ def _iterable_values(matrix: CitationMatrix | NormalizedMatrix) -> tuple[Journal
     )
 
 
+def check_iteration_args(cycles: int | None, tolerance: float, max_cycles: int) -> None:
+    """Raise :class:`CitationDataError` unless the iteration arguments of
+    :func:`power_iterate` are valid: a positive integer or None for
+    ``cycles``, a finite positive ``tolerance``, and ``max_cycles`` >= 1."""
+    if cycles is not None and (not isinstance(cycles, (int, np.integer)) or cycles < 1):
+        raise CitationDataError(f"cycle count must be a positive integer, got {cycles!r}")
+    if not (tolerance > 0 and math.isfinite(tolerance)):
+        raise CitationDataError(f"tolerance must be finite and positive, got {tolerance!r}")
+    if max_cycles < 1:
+        raise CitationDataError(f"max_cycles must be at least 1, got {max_cycles!r}")
+
+
 def power_iterate(
     matrix: CitationMatrix | NormalizedMatrix,
     *,
@@ -212,8 +225,8 @@ def power_iterate(
         soon as the delta drops to ``tolerance``, or after ``max_cycles``
         cycles with ``converged`` set False.
     tolerance : float
-        L1 convergence threshold; also decides the ``converged`` flag of
-        fixed-cycle runs.
+        Finite positive L1 convergence threshold; also decides the
+        ``converged`` flag of fixed-cycle runs.
     max_cycles : int
         Cycle budget in tolerance mode.
 
@@ -224,12 +237,7 @@ def power_iterate(
         vanishes so that renormalization is impossible.
     """
     journals, values = _iterable_values(matrix)
-    if cycles is not None and (not isinstance(cycles, (int, np.integer)) or cycles < 1):
-        raise CitationDataError(f"cycle count must be a positive integer, got {cycles!r}")
-    if not tolerance > 0:
-        raise CitationDataError(f"tolerance must be positive, got {tolerance!r}")
-    if max_cycles < 1:
-        raise CitationDataError(f"max_cycles must be at least 1, got {max_cycles!r}")
+    check_iteration_args(cycles, tolerance, max_cycles)
 
     n = values.shape[0]
     vector = np.ones(n)
@@ -262,20 +270,27 @@ def power_iterate(
     return IterationTrace(journals, tuple(steps), converged, len(steps))
 
 
-def influence_weights(
+def influence_trace(
     m: CitationMatrix,
     *,
     self_citations: bool = True,
     cycles: int | None = None,
     tolerance: float = 1e-9,
     max_cycles: int = 100,
-) -> WeightVector:
-    """Recursive influence weights of the normalized citation matrix.
+) -> IterationTrace:
+    """Iteration trace of the recursive influence weights.
 
     With ``self_citations=False`` the diagonal is zeroed before
     normalization, so the reference totals used as divisors are recomputed
     from the stripped matrix.  Iteration arguments are passed through to
-    :func:`power_iterate`; the result is its final stochastic vector.
+    :func:`power_iterate`.
+
+    Raises
+    ------
+    NumericalError
+        In tolerance mode (``cycles`` omitted), when the delta is still
+        above ``tolerance`` after ``max_cycles`` cycles.  Fixed-cycle runs
+        return their trace whatever its ``converged`` flag.
     """
     working = m if self_citations else strip_self_citations(m)
     trace = power_iterate(
@@ -284,7 +299,32 @@ def influence_weights(
         tolerance=tolerance,
         max_cycles=max_cycles,
     )
-    return trace.final
+    if cycles is None and not trace.converged:
+        raise NumericalError(
+            f"influence weights did not converge within {max_cycles} cycles "
+            f"(final delta {trace.steps[-1].delta:.3g} above tolerance {tolerance:g})"
+        )
+    return trace
+
+
+def influence_weights(
+    m: CitationMatrix,
+    *,
+    self_citations: bool = True,
+    cycles: int | None = None,
+    tolerance: float = 1e-9,
+    max_cycles: int = 100,
+) -> WeightVector:
+    """Recursive influence weights: the final stochastic vector of
+    :func:`influence_trace`, which documents the arguments and raises
+    :class:`NumericalError` on tolerance-mode non-convergence."""
+    return influence_trace(
+        m,
+        self_citations=self_citations,
+        cycles=cycles,
+        tolerance=tolerance,
+        max_cycles=max_cycles,
+    ).final
 
 
 def power_weakness_ratio(m: CitationMatrix, cycles: int) -> PowerWeaknessResult:

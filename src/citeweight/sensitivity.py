@@ -15,7 +15,12 @@ import numpy as np
 
 from .errors import CitationDataError, NumericalError
 from .matrix import CitationMatrix, JournalSet, margins, strip_self_citations
-from .metrics import IterationTrace, influence_weights, self_citation_diagnostics
+from .metrics import (
+    IterationTrace,
+    check_iteration_args,
+    influence_weights,
+    self_citation_diagnostics,
+)
 
 INDICATOR_IW = "iw"
 INDICATOR_RAW_CITED = "raw_cited"
@@ -81,12 +86,21 @@ def self_citation_sensitivity(
 
     Supported indicators: ``iw`` (influence weights), ``raw_cited``
     (received-citation totals), ``cited_citing_ratio`` (cited/citing
-    margin ratio).  The iteration arguments only affect ``iw``.
+    margin ratio).  The iteration arguments only affect ``iw``, but are
+    validated for every indicator.
 
     The without-variant zeroes the diagonal before any normalization, so
     for ``iw`` the reference totals are recomputed from the stripped
     matrix rather than inherited.
+
+    Raises
+    ------
+    CitationDataError
+        For an unknown indicator or invalid iteration arguments.
+    NumericalError
+        When an ``iw`` run in tolerance mode does not converge.
     """
+    check_iteration_args(cycles, tolerance, max_cycles)
     if indicator == INDICATOR_IW:
         with_values = influence_weights(
             m, cycles=cycles, tolerance=tolerance, max_cycles=max_cycles

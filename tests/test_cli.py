@@ -420,6 +420,55 @@ class TestExitCodes:
         assert code == 3
         assert "did not converge" in err
 
+    @pytest.mark.parametrize("command", ["iw", "sensitivity", "fit"])
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_every_iterating_command_rejects_non_convergence(
+        self, capsys, tmp_path, command, fmt
+    ):
+        path = tmp_path / "cycle.csv"
+        path.write_text("0,2\n1,0\n", encoding="utf-8")
+        code, out, err = run(capsys, command, str(path), "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("citeweight: numerical-error: influence weights did not converge")
+
+    @pytest.mark.parametrize("command", ["iw", "sensitivity"])
+    def test_fixed_cycle_run_of_periodic_matrix_succeeds(self, capsys, tmp_path, command):
+        # --iterations K asks for exactly K cycles; convergence is not required
+        path = tmp_path / "cycle.csv"
+        path.write_text("0,2\n1,0\n", encoding="utf-8")
+        code, _, err = run(capsys, command, str(path), "--iterations", "7")
+        assert code == 0
+        assert err == ""
+
+    @pytest.mark.parametrize("command", ["iw", "sensitivity", "fit"])
+    @pytest.mark.parametrize("tolerance", ["inf", "-inf", "nan", "0"])
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, command, tolerance, fmt):
+        code, out, err = run(
+            capsys, command, "--fixture", "price", f"--tolerance={tolerance}", "--format", fmt
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("citeweight: data-error: tolerance must be finite and positive")
+
+    @pytest.mark.parametrize("indicator", ["raw_cited", "cited_citing_ratio"])
+    def test_tolerance_checked_for_indicators_that_do_not_iterate(self, capsys, indicator):
+        code, _, err = run(
+            capsys,
+            "sensitivity",
+            "--fixture",
+            "price",
+            "--indicator",
+            indicator,
+            "--tolerance",
+            "inf",
+            "--format",
+            "json",
+        )
+        assert code == 2
+        assert "data-error: tolerance" in err
+
     def test_journal_without_references_is_numerical_error(self, capsys, tmp_path):
         path = tmp_path / "silent.csv"
         path.write_text("1,0\n2,0\n", encoding="utf-8")

@@ -1,6 +1,10 @@
+import csv
+import types
+
 import numpy as np
 import pytest
 
+import citeweight.matrix
 import golden_values as gv
 from citeweight import (
     CitationDataError,
@@ -127,6 +131,51 @@ class TestParse:
     def test_max_size_can_be_raised(self):
         text = "\n".join(",".join("1" for _ in range(3)) for _ in range(3))
         assert parse_matrix_csv(text, max_size=3).n == 3
+
+    def test_first_bad_cell_in_row_major_order_is_named(self):
+        with pytest.raises(CitationDataError, match=r"row 1, column 2: 'x'"):
+            parse_matrix_csv("1,x\ny,4\n")
+
+    def test_labeled_bad_cell_is_counted_from_the_first_count(self):
+        with pytest.raises(CitationDataError, match=r"row 2, column 1: ''"):
+            parse_matrix_csv("journal,A,B\nA,1,2\nB,,4\n", labeled=True)
+
+    def test_non_finite_and_negative_cells_keep_their_own_messages(self):
+        with pytest.raises(CitationDataError, match=r"cell \(0, 1\) is not finite"):
+            parse_matrix_csv("1,nan\n3,4\n")
+        with pytest.raises(CitationDataError, match=r"cell \(1, 0\) is negative"):
+            parse_matrix_csv("1,2\n-3,4\n")
+
+    def _count_rows_read(self, monkeypatch):
+        read = []
+
+        def counting_reader(*args, **kwargs):
+            for row in csv.reader(*args, **kwargs):
+                read.append(row)
+                yield row
+
+        counting_csv = types.SimpleNamespace(reader=counting_reader)
+        monkeypatch.setattr(citeweight.matrix, "csv", counting_csv)
+        return read
+
+    def test_size_cap_stops_reading_at_the_first_row_past_it(self, monkeypatch):
+        read = self._count_rows_read(monkeypatch)
+        with pytest.raises(CitationDataError, match="max_size"):
+            parse_matrix_csv("1,1\n" * 5000, max_size=4)
+        # the four rows the cap allows, then the one that breaks it
+        assert len(read) == 5
+
+    def test_labeled_size_cap_does_not_count_the_header(self, monkeypatch):
+        read = self._count_rows_read(monkeypatch)
+        header = "journal," + ",".join(f"J{i}" for i in range(5000)) + "\n"
+        with pytest.raises(CitationDataError, match="max_size"):
+            parse_matrix_csv(header + "J0,1\n" * 5000, labeled=True, max_size=4)
+        assert len(read) == 6
+        labeled = "journal,A,B\nA,1,2\nB,3,4\n"
+        assert parse_matrix_csv(labeled, labeled=True, max_size=2).n == 2
+
+    def test_blank_lines_do_not_count_toward_the_size_cap(self):
+        assert parse_matrix_csv("1,2\n\n\n3,4\n\n", max_size=2).n == 2
 
     def test_fractional_counts_allowed(self):
         m = parse_matrix_csv("1.5,2\n3,4.25\n")

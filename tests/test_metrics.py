@@ -172,6 +172,9 @@ class TestPowerIterate:
             power_iterate(small, cycles=2.5)
         with pytest.raises(CitationDataError):
             power_iterate(small, tolerance=0.0)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(CitationDataError, match="finite and positive"):
+                power_iterate(small, tolerance=bad)
         with pytest.raises(CitationDataError):
             power_iterate(small, max_cycles=0)
         with pytest.raises(CitationDataError):
@@ -199,6 +202,15 @@ class TestInfluenceWeights:
         full_rows = pinski_narin_normalize(price).values.sum(axis=1)
         stripped_rows = pinski_narin_normalize(stripped).values.sum(axis=1)
         assert not np.allclose(full_rows, stripped_rows, rtol=1e-3)
+
+    def test_tolerance_mode_raises_when_not_converged(self):
+        m = CitationMatrix(JournalSet(("A", "B")), np.array([[0, 2], [1, 0]]))
+        with pytest.raises(NumericalError, match="did not converge within 30 cycles"):
+            influence_weights(m, max_cycles=30)
+
+    def test_fixed_cycle_run_returns_even_when_not_converged(self):
+        m = CitationMatrix(JournalSet(("A", "B")), np.array([[0, 2], [1, 0]]))
+        assert influence_weights(m, cycles=7).kind == "stochastic"
 
     def test_converged_weights_are_an_eigenvector(self, price):
         nm = pinski_narin_normalize(price)

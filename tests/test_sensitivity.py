@@ -106,6 +106,16 @@ class TestSensitivity:
             self_citation_sensitivity(price, "pagerank")
 
 
+    def test_unconverged_iw_run_raises(self):
+        m = CitationMatrix(JournalSet(("A", "B")), np.array([[0, 2], [1, 0]]))
+        with pytest.raises(NumericalError, match="did not converge"):
+            self_citation_sensitivity(m, "iw")
+
+    @pytest.mark.parametrize("indicator", ["iw", "raw_cited", "cited_citing_ratio"])
+    def test_iteration_arguments_checked_for_every_indicator(self, price, indicator):
+        with pytest.raises(CitationDataError, match="finite and positive"):
+            self_citation_sensitivity(price, indicator, tolerance=math.inf)
+
 class TestConvergenceProfile:
     def test_deltas_shrink_geometrically(self, price):
         trace = power_iterate(pinski_narin_normalize(price), cycles=10)
