@@ -5,8 +5,6 @@ __version__ = "0.1.0"
 from .errors import CitationDataError, NumericalError
 from .matrix import (
     DEFAULT_MAX_SIZE,
-    ROWS_CITED,
-    ROWS_CITING,
     CitationMatrix,
     JournalSet,
     MarginTotals,
@@ -25,12 +23,10 @@ from .metrics import (
     PowerWeaknessResult,
     SelfCitationDiagnostics,
     WeightVector,
-    impact_ratio,
     influence_weights,
     pinski_narin_normalize,
     power_iterate,
     power_weakness_ratio,
-    raw_citation_counts,
     self_citation_diagnostics,
 )
 from .sensitivity import (
@@ -42,15 +38,13 @@ from .sensitivity import (
     linear_fit,
     self_citation_sensitivity,
 )
-from .report import FitReport, LabeledMatrix, Section, render_report, render_sections
+from .report import FitReport, Section, build_sections, render_sections
 from .cli import main
 
 __all__ = [
     "CitationDataError",
     "NumericalError",
     "DEFAULT_MAX_SIZE",
-    "ROWS_CITED",
-    "ROWS_CITING",
     "CitationMatrix",
     "JournalSet",
     "MarginTotals",
@@ -69,12 +63,10 @@ __all__ = [
     "PowerWeaknessResult",
     "SelfCitationDiagnostics",
     "WeightVector",
-    "impact_ratio",
     "influence_weights",
     "pinski_narin_normalize",
     "power_iterate",
     "power_weakness_ratio",
-    "raw_citation_counts",
     "self_citation_diagnostics",
     "INDICATORS",
     "ConvergenceProfile",
@@ -84,9 +76,8 @@ __all__ = [
     "linear_fit",
     "self_citation_sensitivity",
     "FitReport",
-    "LabeledMatrix",
     "Section",
-    "render_report",
+    "build_sections",
     "render_sections",
     "main",
     "__version__",

@@ -36,11 +36,10 @@ from .metrics import (
 from .report import (
     FORMATS,
     FitReport,
-    LabeledMatrix,
+    MatrixPower,
     build_sections,
-    format_number,
+    json_cell,
     render_sections,
-    weights_section,
 )
 from .sensitivity import INDICATOR_IW, INDICATORS, linear_fit, self_citation_sensitivity
 
@@ -163,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     power = sub.add_parser(
         "power",
         parents=[inputs, selfcite, output],
-        help="k-step citation paths via repeated multiplication",
+        help="k-step citation paths via repeated squaring",
     )
     power.add_argument("-k", type=int, required=True, help="exponent, at least 1")
     sub.add_parser(
@@ -215,6 +214,9 @@ def _load_input(args) -> tuple[CitationMatrix, str]:
         m = parse_matrix_csv(data, labeled=args.labeled, max_size=args.max_size)
     if args.transpose:
         m = transpose(m)
+    # only the subcommands that take --no-self-citations have the attribute
+    if not getattr(args, "self_citations", True):
+        m = strip_self_citations(m)
     return m, source
 
 
@@ -231,15 +233,9 @@ def _cmd_iw(args):
     m, source = _load_input(args)
     trace = influence_trace(
         m,
-        self_citations=args.self_citations,
         cycles=args.iterations,
         tolerance=args.tolerance,
         max_cycles=args.max_iterations,
-    )
-    sections = (
-        weights_section(
-            "iw", f"Influence weights ({trace.iterations_used} cycles)", trace.final
-        ),
     )
     meta = _base_meta(args, source, "iw")
     meta.update(
@@ -248,13 +244,12 @@ def _cmd_iw(args):
         converged=trace.converged,
         self_citations=bool(args.self_citations),
     )
-    return sections, meta
+    return build_sections(trace), meta
 
 
 def _cmd_pwr(args):
     m, source = _load_input(args)
-    working = m if args.self_citations else strip_self_citations(m)
-    result = power_weakness_ratio(working, args.iterations)
+    result = power_weakness_ratio(m, args.iterations)
     meta = _base_meta(args, source, "pwr")
     meta.update(iterations=result.cycles, self_citations=bool(args.self_citations))
     return build_sections(result), meta
@@ -262,19 +257,14 @@ def _cmd_pwr(args):
 
 def _cmd_normalize(args):
     m, source = _load_input(args)
-    working = m if args.self_citations else strip_self_citations(m)
     meta = _base_meta(args, source, "normalize")
     meta.update(self_citations=bool(args.self_citations))
-    return build_sections(pinski_narin_normalize(working)), meta
+    return build_sections(pinski_narin_normalize(m)), meta
 
 
 def _cmd_power(args):
     m, source = _load_input(args)
-    working = m if args.self_citations else strip_self_citations(m)
-    values = matrix_power(working, args.k)
-    result = LabeledMatrix(
-        working.journals, values, f"Citation matrix power {args.k}", "power"
-    )
+    result = MatrixPower(m.journals, matrix_power(m, args.k), args.k)
     meta = _base_meta(args, source, "power")
     meta.update(k=int(args.k), self_citations=bool(args.self_citations))
     return build_sections(result), meta
@@ -301,55 +291,45 @@ def _cmd_sensitivity(args):
         compared=args.indicator,
         iterations=args.iterations,
         tolerance=args.tolerance,
-        max_abs_pct_change=_meta_number(report.max_abs_pct_change),
-        mean_abs_pct_change=_meta_number(report.mean_abs_pct_change),
+        max_abs_pct_change=json_cell(report.max_abs_pct_change),
+        mean_abs_pct_change=json_cell(report.mean_abs_pct_change),
     )
     return build_sections(report), meta
 
 
-def _fit_report(m: CitationMatrix, args) -> FitReport:
+def _fit_report(
+    m: CitationMatrix,
+    cycles: int | None,
+    tolerance: float = 1e-9,
+    max_cycles: int = 100,
+) -> FitReport:
+    """Influence weights with and without self-citations, and their fit."""
     report = self_citation_sensitivity(
-        m,
-        INDICATOR_IW,
-        cycles=args.iterations,
-        tolerance=args.tolerance,
-        max_cycles=args.max_iterations,
+        m, INDICATOR_IW, cycles=cycles, tolerance=tolerance, max_cycles=max_cycles
     )
-    fit = linear_fit(report.with_values, report.without_values)
-    return FitReport(
-        m.journals, report.with_values, report.without_values, "with", "without", fit
-    )
+    return FitReport(report, linear_fit(report.with_values, report.without_values))
 
 
 def _cmd_fit(args):
     m, source = _load_input(args)
-    report = _fit_report(m, args)
+    report = _fit_report(m, args.iterations, args.tolerance, args.max_iterations)
     meta = _base_meta(args, source, "fit")
     meta.update(
         iterations=args.iterations,
         tolerance=args.tolerance,
-        slope=_meta_number(report.fit.slope),
-        intercept=_meta_number(report.fit.intercept),
-        pearson_r=_meta_number(report.fit.pearson_r),
+        slope=json_cell(report.fit.slope),
+        intercept=json_cell(report.fit.intercept),
+        pearson_r=json_cell(report.fit.pearson_r),
     )
     return build_sections(report), meta
 
 
 def _cmd_reproduce(args):
     m = price_matrix()
-    sensitivity = self_citation_sensitivity(m, INDICATOR_IW, cycles=7)
-    fit = linear_fit(sensitivity.with_values, sensitivity.without_values)
-    fit_report = FitReport(
-        m.journals,
-        sensitivity.with_values,
-        sensitivity.without_values,
-        "with",
-        "without",
-        fit,
-    )
+    fit_report = _fit_report(m, 7)
     sections = (
         *build_sections(pinski_narin_normalize(m)),
-        *build_sections(sensitivity),
+        *build_sections(fit_report.sensitivity),
         *build_sections(fit_report),
     )
     meta = {
@@ -359,12 +339,6 @@ def _cmd_reproduce(args):
         "version": __version__,
     }
     return sections, meta
-
-
-def _meta_number(value: float) -> float | None:
-    if value != value:
-        return None
-    return float(format_number(value))
 
 
 _COMMANDS = {

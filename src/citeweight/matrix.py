@@ -30,9 +30,6 @@ from .errors import CitationDataError, NumericalError
 #: ``max_size`` when a larger matrix is intended.
 DEFAULT_MAX_SIZE = 1024
 
-ROWS_CITED = "rows=cited"
-ROWS_CITING = "rows=citing"
-
 
 @dataclass(frozen=True)
 class JournalSet:
@@ -63,26 +60,17 @@ class JournalSet:
     def __iter__(self):
         return iter(self.labels)
 
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise CitationDataError(f"unknown journal {label!r}") from None
-
 
 @dataclass(frozen=True, eq=False)
 class CitationMatrix:
     """Immutable non-negative square count matrix with journal labels.
 
     ``counts[i, j]`` is the number of citations journal i received from
-    journal j under the default orientation (``ROWS_CITED``).  The
-    orientation tag records which side the rows represent; it is fixed for
-    a given instance and flipped by :func:`transpose`.
+    journal j.
     """
 
     journals: JournalSet
     counts: np.ndarray
-    orientation: str = ROWS_CITED
 
     def __post_init__(self):
         arr = np.array(self.counts, dtype=float)
@@ -95,8 +83,6 @@ class CitationMatrix:
             raise CitationDataError(
                 f"{len(self.journals)} journal labels for a {n}x{n} matrix"
             )
-        if self.orientation not in (ROWS_CITED, ROWS_CITING):
-            raise CitationDataError(f"unknown orientation tag {self.orientation!r}")
         bad = ~np.isfinite(arr)
         if bad.any():
             i, j = map(int, np.argwhere(bad)[0])
@@ -153,14 +139,17 @@ def parse_matrix_csv(
         same journals in the same order.  When False, every field is a
         count and journals are labeled J1..Jn.
     max_size : int
-        Reject matrices larger than this many rows/columns.
+        Reject matrices larger than this many rows/columns; at least 2.
 
     Raises
     ------
     CitationDataError
         For ragged or non-square grids, non-numeric or negative cells,
-        duplicate or mismatched labels, and sizes outside [2, max_size].
+        duplicate or mismatched labels, sizes outside [2, max_size], and a
+        ``max_size`` below 2.
     """
+    if max_size < 2:
+        raise CitationDataError(f"max_size must be at least 2, got {max_size!r}")
     text = _decode(data)
     # Stop at the first row past the cap, so an oversized input is never
     # materialised; the header row of a labeled matrix does not count.
@@ -264,52 +253,82 @@ def margins(m: CitationMatrix) -> MarginTotals:
     """Row sums, column sums, and the grand total of a matrix.
 
     Sums are exact for integer-valued inputs.
+
+    Raises
+    ------
+    NumericalError
+        If a total overflows, naming the first journal whose total is not
+        finite.
     """
-    cited = m.counts.sum(axis=1)
-    citing = m.counts.sum(axis=0)
-    return MarginTotals(cited, citing, float(m.counts.sum()))
+    with np.errstate(over="ignore"):
+        cited = m.counts.sum(axis=1)
+        citing = m.counts.sum(axis=0)
+        grand = float(m.counts.sum())
+    for side, totals in (("cited", cited), ("citing", citing)):
+        bad = np.flatnonzero(~np.isfinite(totals))
+        if bad.size:
+            raise NumericalError(
+                f"{side} total of journal {m.journals.labels[bad[0]]!r} overflowed"
+            )
+    if not np.isfinite(grand):
+        raise NumericalError("grand total of the citation matrix overflowed")
+    return MarginTotals(cited, citing, grand)
 
 
 def transpose(m: CitationMatrix) -> CitationMatrix:
-    """Swap the cited and citing axes, flipping the orientation tag."""
-    flipped = ROWS_CITING if m.orientation == ROWS_CITED else ROWS_CITED
-    return CitationMatrix(m.journals, m.counts.T, flipped)
+    """Swap the cited and citing axes."""
+    return CitationMatrix(m.journals, m.counts.T)
 
 
 def strip_self_citations(m: CitationMatrix) -> CitationMatrix:
     """Return a copy with every diagonal (within-journal) count zeroed."""
     values = m.counts.copy()
     np.fill_diagonal(values, 0.0)
-    return CitationMatrix(m.journals, values, m.orientation)
+    return CitationMatrix(m.journals, values)
 
 
 def matrix_power(m: CitationMatrix, k: int) -> np.ndarray:
-    """Compute the k-th power of the count matrix by repeated multiplication.
+    """Compute the k-th power of the count matrix by repeated squaring.
 
     Returns a plain real-valued array; ``k=1`` returns the counts
-    unchanged.  Entries grow geometrically with k, so the computation runs
-    in binary64 and stops with an error the moment a product cell stops
-    being finite.
+    unchanged.  Binary exponentiation needs O(log k) products, and the
+    results are exact for integer counts below 2**53.  Entries grow
+    geometrically with k, so the computation runs in binary64 and stops
+    with an error the moment a product cell stops being finite.
 
     Raises
     ------
     CitationDataError
         If k < 1 (the identity matrix is not a citation matrix).
     NumericalError
-        On overflow, naming the first offending cell.
+        On overflow, naming the first offending cell and the power being
+        formed.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise CitationDataError(f"matrix power requires an integer k >= 1, got {k!r}")
-    result = m.counts.copy()
-    labels = m.journals.labels
-    for step in range(2, int(k) + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = result @ m.counts
-        bad = ~np.isfinite(result)
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            raise NumericalError(
-                f"matrix power overflowed at cell ({labels[i]!r}, {labels[j]!r}) "
-                f"while computing power {step}"
-            )
+    result, power = m.counts.copy(), 1
+    # Each further bit of k squares the result, and a set bit multiplies
+    # it by the matrix once more: k=3 forms (A @ A) @ A.
+    for bit in bin(int(k))[3:]:
+        power *= 2
+        result = _power_product(m, result, result, power)
+        if bit == "1":
+            power += 1
+            result = _power_product(m, result, m.counts, power)
     return result
+
+
+def _power_product(
+    m: CitationMatrix, a: np.ndarray, b: np.ndarray, power: int
+) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = a @ b
+    bad = ~np.isfinite(product)
+    if bad.any():
+        i, j = map(int, np.argwhere(bad)[0])
+        labels = m.journals.labels
+        raise NumericalError(
+            f"matrix power overflowed at cell ({labels[i]!r}, {labels[j]!r}) "
+            f"while computing power {power}"
+        )
+    return product

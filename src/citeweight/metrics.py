@@ -4,8 +4,7 @@ The central quantity is the influence weight: the stochastic dominant
 eigenvector of the reference-normalized citation matrix, obtained by
 recursive power iteration.  Alongside it this module provides the
 Pinski-Narin normalization itself, power-weakness ratios from the raw
-matrix and its transpose, raw-count popularity measures, impact ratios,
-and per-journal self-citation diagnostics.
+matrix and its transpose, and per-journal self-citation diagnostics.
 """
 
 from __future__ import annotations
@@ -168,14 +167,28 @@ def pinski_narin_normalize(m: CitationMatrix) -> NormalizedMatrix:
     ------
     NumericalError
         If some journal makes no references at all, naming it; such an
-        isolated journal must be removed before normalizing.
+        isolated journal must be removed before normalizing.  Also if a
+        margin total or a quotient overflows, naming the cell.
     """
-    citing = margins(m).citing_totals
+    totals = margins(m)
+    citing = totals.citing_totals
+    labels = m.journals.labels
     silent = np.flatnonzero(citing == 0)
     if silent.size:
-        names = ", ".join(repr(m.journals.labels[i]) for i in silent)
+        names = ", ".join(repr(labels[i]) for i in silent)
         raise NumericalError(f"journal {names} makes no references; cannot normalize")
-    return NormalizedMatrix(m.journals, m.counts / citing[:, None])
+    with np.errstate(over="ignore"):
+        values = m.counts / citing[:, None]
+        # no cell of row i exceeds cited_i / citing_i, so only a row whose
+        # bound overflows can hold an overflowed cell
+        bounds = totals.cited_totals / citing
+    for i in np.flatnonzero(np.isinf(bounds)):
+        overflowed = np.flatnonzero(np.isinf(values[i]))
+        if overflowed.size:
+            raise NumericalError(
+                f"normalized cell ({labels[i]!r}, {labels[overflowed[0]]!r}) overflowed"
+            )
+    return NormalizedMatrix(m.journals, values)
 
 
 def _iterable_values(matrix: CitationMatrix | NormalizedMatrix) -> tuple[JournalSet, np.ndarray]:
@@ -246,7 +259,8 @@ def power_iterate(
     cycle = 0
     while True:
         cycle += 1
-        product = values @ vector
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = values @ vector
         if not np.isfinite(product).all():
             raise NumericalError(f"weight vector became non-finite at cycle {cycle}")
         mass = product.sum()
@@ -355,32 +369,6 @@ def power_weakness_ratio(m: CitationMatrix, cycles: int) -> PowerWeaknessResult:
     return PowerWeaknessResult(power, weakness, ratio, int(cycles))
 
 
-def raw_citation_counts(m: CitationMatrix) -> tuple[WeightVector, WeightVector]:
-    """Margin totals as popularity indicators: (cited, citing) counts."""
-    totals = margins(m)
-    return (
-        WeightVector(m.journals, totals.cited_totals, RAW),
-        WeightVector(m.journals, totals.citing_totals, RAW),
-    )
-
-
-def impact_ratio(citations: WeightVector, publications: WeightVector) -> WeightVector:
-    """Citations per publication, the classic size-normalized quality proxy.
-
-    Both vectors must cover the same journals in the same order, and every
-    publication count must be positive.
-    """
-    if citations.journals != publications.journals:
-        raise CitationDataError("citation and publication vectors cover different journals")
-    bad = np.flatnonzero(publications.values <= 0)
-    if bad.size:
-        names = ", ".join(repr(citations.journals.labels[i]) for i in bad)
-        raise NumericalError(
-            f"publication count for journal {names} is not positive; impact undefined"
-        )
-    return WeightVector(citations.journals, citations.values / publications.values, RAW)
-
-
 def self_citation_diagnostics(m: CitationMatrix) -> SelfCitationDiagnostics:
     """Split each journal's citation traffic into self and cross terms.
 
@@ -406,5 +394,7 @@ def self_citation_diagnostics(m: CitationMatrix) -> SelfCitationDiagnostics:
 
 def _safe_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     out = np.full(numerator.shape, np.nan)
-    np.divide(numerator, denominator, out=out, where=denominator != 0)
+    # an overflowed quotient stays inf; the report layer refuses to print it
+    with np.errstate(over="ignore"):
+        np.divide(numerator, denominator, out=out, where=denominator != 0)
     return out

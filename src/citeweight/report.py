@@ -1,11 +1,12 @@
 """Rendering of analysis results as aligned text tables, CSV, or JSON.
 
 Every result is first turned into one or more sections (a titled grid of
-labelled rows), then the chosen writer serializes the sections.  Numbers
-are written with 12 significant digits in every format, and the JSON
-writer re-parses that rendering so the three formats carry identical
-values.  Undefined entries appear as "n/a" in tables, empty cells in CSV,
-and null in JSON.
+labelled rows) by the one layout of its type, then the chosen writer
+serializes the sections.  Numbers are written with 12 significant digits
+in every format, and the JSON writer re-parses that rendering so the
+three formats carry identical values.  Undefined (NaN) entries appear as
+"n/a" in tables, empty cells in CSV, and null in JSON; an infinite entry
+is an overflow, and no layout lets one through.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CitationDataError
+from .errors import CitationDataError, NumericalError
 from .matrix import JournalSet
 from .metrics import (
+    IterationTrace,
     NormalizedMatrix,
     PowerWeaknessResult,
     SelfCitationDiagnostics,
-    WeightVector,
 )
 from .sensitivity import LinearFit, SensitivityReport
 
@@ -35,24 +36,20 @@ Cell = str | int | float
 
 
 @dataclass(frozen=True, eq=False)
-class LabeledMatrix:
-    """Plain matrix with journal labels, for rendering power results."""
+class MatrixPower:
+    """The k-th power of a citation matrix, with its journal labels."""
 
     journals: JournalSet
     values: np.ndarray
-    title: str
-    key: str = "matrix"
+    k: int
 
 
 @dataclass(frozen=True, eq=False)
 class FitReport:
-    """Paired per-journal values together with their fitted line."""
+    """Influence weights with and without self-citations, and the line
+    fitted through the without values against the with values."""
 
-    journals: JournalSet
-    x: np.ndarray
-    y: np.ndarray
-    x_name: str
-    y_name: str
+    sensitivity: SensitivityReport
     fit: LinearFit
 
 
@@ -83,7 +80,9 @@ def _cell_text(value: Cell, undefined: str) -> str:
     return format_number(float(value))
 
 
-def _cell_json(value: Cell):
+def json_cell(value: Cell):
+    """The JSON value of one cell: NaN becomes null, and a float is
+    re-parsed from its 12-digit rendering."""
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
@@ -93,125 +92,124 @@ def _cell_json(value: Cell):
     return float(format_number(float(value)))
 
 
-def weights_section(key: str, title: str, weights: WeightVector, value_name: str = "weight") -> Section:
+def _grid(
+    key: str,
+    title: str,
+    columns: tuple[str, ...],
+    journals: JournalSet,
+    values: np.ndarray,
+    footer: tuple[str, ...] = (),
+) -> Section:
+    """Section with one row per journal and one column of ``values`` per
+    name in ``columns``.
+
+    NaN marks an undefined value, but an infinite one is an overflow and
+    is refused, naming the section, row and column.
+    """
+    infinite = np.isinf(values)
+    if infinite.any():
+        i, j = map(int, np.argwhere(infinite)[0])
+        raise NumericalError(
+            f"{key} value overflowed at row {journals.labels[i]!r}, "
+            f"column {columns[j]!r}"
+        )
     rows = tuple(
-        (label, float(value))
-        for label, value in zip(weights.journals.labels, weights.values)
+        (label, *cells) for label, cells in zip(journals.labels, values.tolist())
     )
-    return Section(key, title, ("journal", value_name), rows)
+    return Section(key, title, ("journal", *columns), rows, footer)
 
 
-def matrix_section(key: str, title: str, journals: JournalSet, values: np.ndarray) -> Section:
-    labels = journals.labels
-    rows = tuple(
-        (labels[i], *(float(v) for v in values[i])) for i in range(len(labels))
+def _iw_layout(trace: IterationTrace) -> tuple[Section, ...]:
+    title = f"Influence weights ({trace.iterations_used} cycles)"
+    values = trace.final.values[:, None]
+    return (_grid("iw", title, ("weight",), trace.journals, values),)
+
+
+def _normalized_layout(result: NormalizedMatrix) -> tuple[Section, ...]:
+    title = "Normalized citation matrix (citations received per reference given)"
+    journals = result.journals
+    return (_grid("normalized", title, journals.labels, journals, result.values),)
+
+
+def _power_layout(result: MatrixPower) -> tuple[Section, ...]:
+    title = f"Citation matrix power {result.k}"
+    journals = result.journals
+    return (_grid("power", title, journals.labels, journals, result.values),)
+
+
+def _pwr_layout(result: PowerWeaknessResult) -> tuple[Section, ...]:
+    title = f"Power-weakness ratios after {result.cycles} cycles"
+    values = np.column_stack(
+        (result.power.values, result.weakness.values, result.ratio.values)
     )
-    return Section(key, title, ("journal", *labels), rows)
+    columns = ("power", "weakness", "ratio")
+    return (_grid("pwr", title, columns, result.power.journals, values),)
+
+
+_DIAGNOSTIC_COLUMNS = (
+    "self_citations",
+    "cited_by_others",
+    "citing_others",
+    "self_cited_rate",
+    "self_citing_rate",
+    "cited_citing_ratio_with",
+    "cited_citing_ratio_without",
+)
+
+
+def _diagnostics_layout(result: SelfCitationDiagnostics) -> tuple[Section, ...]:
+    values = np.column_stack([getattr(result, name) for name in _DIAGNOSTIC_COLUMNS])
+    title = "Self-citation diagnostics"
+    return (_grid("diagnostics", title, _DIAGNOSTIC_COLUMNS, result.journals, values),)
+
+
+def _sensitivity_layout(result: SensitivityReport) -> tuple[Section, ...]:
+    title = f"Self-citation sensitivity of {result.indicator}"
+    values = np.column_stack(
+        (result.with_values, result.without_values, result.pct_change)
+    )
+    footer = (
+        f"max |pct_change|:  {_cell_text(result.max_abs_pct_change, 'n/a')}",
+        f"mean |pct_change|: {_cell_text(result.mean_abs_pct_change, 'n/a')}",
+    )
+    columns = ("with", "without", "pct_change")
+    return (_grid("sensitivity", title, columns, result.journals, values, footer),)
+
+
+def _fit_layout(result: FitReport) -> tuple[Section, ...]:
+    pairs, fit = result.sensitivity, result.fit
+    title = "Fitted pairs (without against with)"
+    values = np.column_stack((pairs.with_values, pairs.without_values))
+    stats: tuple[tuple[Cell, ...], ...] = (
+        ("slope", fit.slope),
+        ("intercept", fit.intercept),
+        ("pearson_r", fit.pearson_r),
+        ("n_points", fit.n_points),
+    )
+    return (
+        _grid("points", title, ("with", "without"), pairs.journals, values),
+        Section("statistics", "Least-squares line", ("statistic", "value"), stats),
+    )
+
+
+#: The one report layout of each result type the CLI renders.
+_LAYOUTS = {
+    IterationTrace: _iw_layout,
+    NormalizedMatrix: _normalized_layout,
+    MatrixPower: _power_layout,
+    PowerWeaknessResult: _pwr_layout,
+    SelfCitationDiagnostics: _diagnostics_layout,
+    SensitivityReport: _sensitivity_layout,
+    FitReport: _fit_layout,
+}
 
 
 def build_sections(result) -> tuple[Section, ...]:
-    """Map a result object to its report sections."""
-    if isinstance(result, WeightVector):
-        return (weights_section("weights", "Journal weights", result),)
-    if isinstance(result, NormalizedMatrix):
-        return (
-            matrix_section(
-                "normalized",
-                "Normalized citation matrix (citations received per reference given)",
-                result.journals,
-                result.values,
-            ),
-        )
-    if isinstance(result, LabeledMatrix):
-        return (matrix_section(result.key, result.title, result.journals, result.values),)
-    if isinstance(result, PowerWeaknessResult):
-        rows = tuple(
-            (label, float(p), float(w), float(r))
-            for label, p, w, r in zip(
-                result.power.journals.labels,
-                result.power.values,
-                result.weakness.values,
-                result.ratio.values,
-            )
-        )
-        return (
-            Section(
-                "pwr",
-                f"Power-weakness ratios after {result.cycles} cycles",
-                ("journal", "power", "weakness", "ratio"),
-                rows,
-            ),
-        )
-    if isinstance(result, SelfCitationDiagnostics):
-        rows = tuple(
-            (
-                label,
-                float(result.self_citations[i]),
-                float(result.cited_by_others[i]),
-                float(result.citing_others[i]),
-                float(result.self_cited_rate[i]),
-                float(result.self_citing_rate[i]),
-                float(result.cited_citing_ratio_with[i]),
-                float(result.cited_citing_ratio_without[i]),
-            )
-            for i, label in enumerate(result.journals.labels)
-        )
-        return (
-            Section(
-                "diagnostics",
-                "Self-citation diagnostics",
-                (
-                    "journal",
-                    "self_citations",
-                    "cited_by_others",
-                    "citing_others",
-                    "self_cited_rate",
-                    "self_citing_rate",
-                    "cited_citing_ratio_with",
-                    "cited_citing_ratio_without",
-                ),
-                rows,
-            ),
-        )
-    if isinstance(result, SensitivityReport):
-        rows = tuple(
-            (label, float(result.with_values[i]), float(result.without_values[i]), float(result.pct_change[i]))
-            for i, label in enumerate(result.journals.labels)
-        )
-        footer = (
-            f"max |pct_change|:  {_cell_text(result.max_abs_pct_change, 'n/a')}",
-            f"mean |pct_change|: {_cell_text(result.mean_abs_pct_change, 'n/a')}",
-        )
-        return (
-            Section(
-                "sensitivity",
-                f"Self-citation sensitivity of {result.indicator}",
-                ("journal", "with", "without", "pct_change"),
-                rows,
-                footer,
-            ),
-        )
-    if isinstance(result, FitReport):
-        points = tuple(
-            (label, float(result.x[i]), float(result.y[i]))
-            for i, label in enumerate(result.journals.labels)
-        )
-        stats: tuple[tuple[Cell, ...], ...] = (
-            ("slope", result.fit.slope),
-            ("intercept", result.fit.intercept),
-            ("pearson_r", result.fit.pearson_r),
-            ("n_points", result.fit.n_points),
-        )
-        return (
-            Section(
-                "points",
-                f"Fitted pairs ({result.y_name} against {result.x_name})",
-                ("journal", result.x_name, result.y_name),
-                points,
-            ),
-            Section("statistics", "Least-squares line", ("statistic", "value"), stats),
-        )
-    raise CitationDataError(f"no report layout for {type(result).__name__}")
+    """Map a result object to its report sections, by its type."""
+    layout = _LAYOUTS.get(type(result))
+    if layout is None:
+        raise CitationDataError(f"no report layout for {type(result).__name__}")
+    return layout(result)
 
 
 def _render_table(sections: Sequence[Section]) -> str:
@@ -252,10 +250,10 @@ def _section_json(sec: Section):
     for row in sec.rows:
         row_key = str(row[0])
         if len(sec.header) == 2:
-            mapping[row_key] = _cell_json(row[1])
+            mapping[row_key] = json_cell(row[1])
         else:
             mapping[row_key] = {
-                name: _cell_json(cell) for name, cell in zip(sec.header[1:], row[1:])
+                name: json_cell(cell) for name, cell in zip(sec.header[1:], row[1:])
             }
     return mapping
 
@@ -280,7 +278,3 @@ def render_sections(sections: Sequence[Section], fmt: str, meta: dict | None = N
         return _render_json(sections, meta)
     raise CitationDataError(f"unknown format {fmt!r}; choose one of {', '.join(FORMATS)}")
 
-
-def render_report(result, fmt: str = "table", meta: dict | None = None) -> str:
-    """Render one result object; see :func:`build_sections` for types."""
-    return render_sections(build_sections(result), fmt, meta)

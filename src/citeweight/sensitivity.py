@@ -126,9 +126,11 @@ def self_citation_sensitivity(
 
     pct = np.full(len(m.journals), np.nan)
     defined = ~np.isnan(with_values) & ~np.isnan(without_values) & (with_values != 0)
-    np.divide(
-        (without_values - with_values) * 100.0, with_values, out=pct, where=defined
-    )
+    # an overflowed change stays inf; the report layer refuses to print it
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(
+            (without_values - with_values) * 100.0, with_values, out=pct, where=defined
+        )
     finite = pct[~np.isnan(pct)]
     if finite.size:
         max_abs = float(np.abs(finite).max())

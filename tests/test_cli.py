@@ -484,6 +484,60 @@ class TestExitCodes:
         assert code == 2
         assert "data-error" in err
 
+    def test_max_size_below_two_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("1,2\n3,4\n", encoding="utf-8")
+        code, out, err = run(capsys, "iw", str(path), "--max-size", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "citeweight: data-error: max_size must be at least 2, got -1\n"
+
+
+# Exit code of each subcommand on each condition.  Columns, in order: iw,
+# pwr, normalize, power -k 3, diagnose, sensitivity with --indicator iw,
+# raw_cited and cited_citing_ratio, and fit.  A code holds in every format.
+EXIT_CODE_SUBCOMMANDS = (
+    ["iw"],
+    ["pwr"],
+    ["normalize"],
+    ["power", "-k", "3"],
+    ["diagnose"],
+    ["sensitivity", "--indicator", "iw"],
+    ["sensitivity", "--indicator", "raw_cited"],
+    ["sensitivity", "--indicator", "cited_citing_ratio"],
+    ["fit"],
+)
+EXIT_CODE_TABLE = {
+    # condition: (input, extra flags, codes)
+    "zero column": ("1,0\n1,0\n", [], "333003003"),
+    "nilpotent": ("0,1\n0,0\n", [], "333003003"),
+    "period 2": ("0,2\n1,0\n", [], "300003003"),
+    "negative cell": ("1,-1\n1,1\n", [], "222222222"),
+    "non-numeric cell": ("1,x\n1,1\n", [], "222222222"),
+    "overflowed totals": ("1e308,1e308\n1e308,1e308\n", [], "333333333"),
+    # pwr and raw_cited never divide 1e308 by 1e-300; their results are finite
+    "overflowed quotient": ("0,1e308\n1e-300,1\n", [], "303333033"),
+    "above max size": ("1,1,1\n1,1,1\n1,1,1\n", ["--max-size", "2"], "222222222"),
+}
+
+
+@pytest.mark.parametrize(
+    "column",
+    range(len(EXIT_CODE_SUBCOMMANDS)),
+    ids=[" ".join(command) for command in EXIT_CODE_SUBCOMMANDS],
+)
+@pytest.mark.parametrize("condition", list(EXIT_CODE_TABLE))
+def test_exit_code_table(capsys, tmp_path, condition, column):
+    text, flags, codes = EXIT_CODE_TABLE[condition]
+    path = tmp_path / "counts.csv"
+    path.write_text(text, encoding="utf-8")
+    command = EXIT_CODE_SUBCOMMANDS[column]
+    for fmt in ("table", "csv", "json"):
+        code, out, err = run(capsys, *command, str(path), *flags, "--format", fmt)
+        assert code == int(codes[column]), (fmt, err)
+        assert (out == "") == (code != 0)
+        assert len(err.splitlines()) == (code != 0)
+
 
 class TestSubprocess:
     def test_stdin_matrix(self):

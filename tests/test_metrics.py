@@ -10,13 +10,11 @@ from citeweight import (
     JournalSet,
     NumericalError,
     WeightVector,
-    impact_ratio,
     influence_weights,
     margins,
     pinski_narin_normalize,
     power_iterate,
     power_weakness_ratio,
-    raw_citation_counts,
     self_citation_diagnostics,
     strip_self_citations,
     transpose,
@@ -67,6 +65,19 @@ class TestNormalize:
         m = CitationMatrix(JournalSet(("A", "B")), counts)
         with pytest.raises(NumericalError, match="'B'"):
             pinski_narin_normalize(m)
+
+    def test_overflowed_quotient_is_named(self):
+        # B's reference total is 1e-300, so 1e308 / 1e-300 overflows
+        counts = np.array([[0.0, 1e308], [1e-300, 1.0]])
+        m = CitationMatrix(JournalSet(("A", "B")), counts)
+        with pytest.raises(NumericalError, match=r"normalized cell \('A', 'B'\) overflowed"):
+            pinski_narin_normalize(m)
+
+    def test_row_total_quotient_may_overflow_when_no_cell_does(self):
+        # A's cited total over its citing total is 3.2e308, every cell finite
+        counts = np.array([[0.0, 0.8e308, 0.8e308], [0.5, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        m = CitationMatrix(JournalSet(("A", "B", "C")), counts)
+        assert pinski_narin_normalize(m).values[0].tolist() == [0.0, 1.6e308, 1.6e308]
 
     def test_values_are_write_protected(self, price):
         nm = pinski_narin_normalize(price)
@@ -278,50 +289,6 @@ class TestPowerWeakness:
         assert np.allclose(
             forward.ratio.values, 1.0 / backward.ratio.values, rtol=1e-12
         )
-
-
-class TestRawCounts:
-    def test_margins_as_weight_vectors(self, price):
-        cited, citing = raw_citation_counts(price)
-        assert cited.values.tolist() == list(gv.CITED_TOTALS)
-        assert citing.values.tolist() == list(gv.CITING_TOTALS)
-        assert cited.kind == "raw"
-
-
-class TestImpactRatio:
-    def test_elementwise_quotient(self):
-        js = JournalSet(("A", "B"))
-        citations = WeightVector(js, np.array([10.0, 9.0]))
-        publications = WeightVector(js, np.array([4.0, 3.0]))
-        result = impact_ratio(citations, publications)
-        assert result.values.tolist() == [2.5, 3.0]
-
-    def test_journal_mismatch_rejected(self):
-        citations = WeightVector(JournalSet(("A", "B")), np.array([1.0, 2.0]))
-        publications = WeightVector(JournalSet(("A", "C")), np.array([1.0, 2.0]))
-        with pytest.raises(CitationDataError):
-            impact_ratio(citations, publications)
-
-    def test_zero_publications_named(self):
-        js = JournalSet(("A", "B"))
-        citations = WeightVector(js, np.array([1.0, 2.0]))
-        publications = WeightVector(js, np.array([1.0, 0.0]))
-        with pytest.raises(NumericalError, match="'B'"):
-            impact_ratio(citations, publications)
-
-    def test_scales_linearly_with_citations(self):
-        js = JournalSet(("A", "B", "C"))
-        citations = WeightVector(js, np.array([12.0, 7.0, 30.0]))
-        publications = WeightVector(js, np.array([3.0, 2.0, 8.0]))
-        base = impact_ratio(citations, publications)
-        doubled = impact_ratio(
-            WeightVector(js, citations.values * 2.0), publications
-        )
-        assert np.array_equal(doubled.values, base.values * 2.0)
-        inflated = impact_ratio(
-            WeightVector(js, citations.values * 1.35), publications
-        )
-        assert np.allclose(inflated.values, base.values * 1.35, rtol=1e-14)
 
 
 class TestDiagnostics:

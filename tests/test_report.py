@@ -5,33 +5,35 @@ import pytest
 
 from citeweight import (
     CitationDataError,
+    CitationMatrix,
     JournalSet,
-    WeightVector,
-    influence_weights,
-    render_report,
+    NumericalError,
+    build_sections,
     render_sections,
+    self_citation_diagnostics,
     self_citation_sensitivity,
 )
-from citeweight.report import Section, build_sections, format_number
+from citeweight.metrics import influence_trace
+from citeweight.report import Section, format_number
 
 
 @pytest.fixture
 def weights(price):
-    return influence_weights(price, cycles=7)
+    return build_sections(influence_trace(price, cycles=7))
 
 
 def test_table_layout(weights):
-    out = render_report(weights, "table")
+    out = render_sections(weights, "table")
     lines = out.split("\n")
-    assert lines[0] == "Journal weights"
+    assert lines[0] == "Influence weights (7 cycles)"
     assert set(lines[1]) == {"-"}
     assert lines[2].split() == ["journal", "weight"]
     assert out.endswith("\n")
 
 
 def test_csv_and_json_carry_identical_numbers(weights):
-    csv_out = render_report(weights, "csv")
-    payload = json.loads(render_report(weights, "json"))
+    csv_out = render_sections(weights, "csv")
+    payload = json.loads(render_sections(weights, "json"))
     for line in csv_out.strip().split("\n")[1:]:
         label, cell = line.rsplit(",", 1)
         assert payload[label] == float(cell)
@@ -44,18 +46,18 @@ def test_twelve_significant_digits():
 
 
 def test_json_without_meta(weights):
-    payload = json.loads(render_report(weights, "json"))
+    payload = json.loads(render_sections(weights, "json"))
     assert "meta" not in payload
 
 
 def test_json_meta_appended(weights):
-    payload = json.loads(render_report(weights, "json", meta={"source": "x"}))
+    payload = json.loads(render_sections(weights, "json", meta={"source": "x"}))
     assert payload["meta"] == {"source": "x"}
 
 
 def test_unknown_format_rejected(weights):
     with pytest.raises(CitationDataError, match="format"):
-        render_report(weights, "yaml")
+        render_sections(weights, "yaml")
 
 
 def test_unknown_result_type_rejected():
@@ -64,23 +66,23 @@ def test_unknown_result_type_rejected():
 
 
 def test_label_with_comma_is_quoted_in_csv():
-    wv = WeightVector(JournalSet(("Ann. Phys., Lpz.", "B")), np.array([1.0, 2.0]))
-    out = render_report(wv, "csv")
+    m = CitationMatrix(JournalSet(("Ann. Phys., Lpz.", "B")), np.array([[1, 2], [3, 4]]))
+    out = render_sections(build_sections(self_citation_diagnostics(m)), "csv")
     assert '"Ann. Phys., Lpz."' in out
 
 
 def test_multi_section_csv_marks_blocks(price):
     report = self_citation_sensitivity(price, "iw", cycles=7)
-    weights = influence_weights(price, cycles=7)
-    sections = (*build_sections(weights), *build_sections(report))
+    trace = influence_trace(price, cycles=7)
+    sections = (*build_sections(trace), *build_sections(report))
     out = render_sections(sections, "csv")
-    assert "# weights" in out
+    assert "# iw" in out
     assert "# sensitivity" in out
 
 
 def test_single_section_csv_has_no_marker(price):
     report = self_citation_sensitivity(price, "iw", cycles=7)
-    out = render_report(report, "csv")
+    out = render_sections(build_sections(report), "csv")
     assert not out.startswith("#")
     assert out.startswith("journal,with,without,pct_change\n")
 
@@ -90,3 +92,13 @@ def test_nan_rendering_differs_by_format():
     assert "n/a" in render_sections([sec], "table")
     assert render_sections([sec], "csv") == "journal,value\nA,\n"
     assert json.loads(render_sections([sec], "json"))["A"] is None
+
+
+def test_infinite_cell_is_refused_naming_section_row_and_column():
+    m = CitationMatrix(JournalSet(("A", "B")), np.array([[0.0, 1e308], [1e-300, 1.0]]))
+    diagnostics = self_citation_diagnostics(m)
+    with pytest.raises(
+        NumericalError,
+        match="diagnostics value overflowed at row 'A', column 'cited_citing_ratio_with'",
+    ):
+        build_sections(diagnostics)
