@@ -28,6 +28,8 @@ from .matrix import (
     transpose,
 )
 from .metrics import (
+    DEFAULT_MAX_CYCLES,
+    DEFAULT_TOLERANCE,
     influence_trace,
     pinski_narin_normalize,
     power_weakness_ratio,
@@ -115,17 +117,17 @@ def build_parser() -> argparse.ArgumentParser:
     iteration.add_argument(
         "--tolerance",
         type=float,
-        default=1e-9,
+        default=DEFAULT_TOLERANCE,
         metavar="T",
-        help="L1 convergence threshold (default 1e-9)",
+        help="L1 convergence threshold (default %(default)s)",
     )
     iteration.add_argument(
         "--max-iterations",
         type=int,
-        default=100,
+        default=DEFAULT_MAX_CYCLES,
         metavar="N",
         dest="max_iterations",
-        help="cycle budget when iterating to tolerance (default 100)",
+        help="cycle budget when iterating to tolerance (default %(default)s)",
     )
 
     selfcite = argparse.ArgumentParser(add_help=False)
@@ -205,12 +207,15 @@ def _load_input(args) -> tuple[CitationMatrix, str]:
         m = load_fixture(args.fixture)
         source = f"fixture:{args.fixture}"
     else:
-        if args.matrix == "-":
-            data = sys.stdin.read()
-            source = "stdin"
-        else:
-            data = Path(args.matrix).read_text(encoding="utf-8")
-            source = args.matrix
+        try:
+            if args.matrix == "-":
+                data = sys.stdin.read()
+                source = "stdin"
+            else:
+                data = Path(args.matrix).read_text(encoding="utf-8")
+                source = args.matrix
+        except UnicodeDecodeError as exc:
+            raise CitationDataError(f"input is not valid UTF-8 text: {exc}") from exc
         m = parse_matrix_csv(data, labeled=args.labeled, max_size=args.max_size)
     if args.transpose:
         m = transpose(m)
@@ -298,10 +303,7 @@ def _cmd_sensitivity(args):
 
 
 def _fit_report(
-    m: CitationMatrix,
-    cycles: int | None,
-    tolerance: float = 1e-9,
-    max_cycles: int = 100,
+    m: CitationMatrix, cycles: int | None, tolerance: float, max_cycles: int
 ) -> FitReport:
     """Influence weights with and without self-citations, and their fit."""
     report = self_citation_sensitivity(
@@ -326,7 +328,7 @@ def _cmd_fit(args):
 
 def _cmd_reproduce(args):
     m = price_matrix()
-    fit_report = _fit_report(m, 7)
+    fit_report = _fit_report(m, 7, DEFAULT_TOLERANCE, DEFAULT_MAX_CYCLES)
     sections = (
         *build_sections(pinski_narin_normalize(m)),
         *build_sections(fit_report.sensitivity),

@@ -15,13 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CitationDataError, NumericalError
-from .matrix import CitationMatrix, JournalSet, margins, strip_self_citations, transpose
+from .matrix import CitationMatrix, JournalSet, margins, transpose
 
 RAW = "raw"
 STOCHASTIC = "stochastic"
 
 #: Sum-to-one slack accepted for stochastic-tagged vectors.
 STOCHASTIC_TOL = 1e-12
+
+#: L1 convergence threshold and cycle budget of tolerance-mode iteration.
+DEFAULT_TOLERANCE = 1e-9
+DEFAULT_MAX_CYCLES = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,8 +221,8 @@ def power_iterate(
     matrix: CitationMatrix | NormalizedMatrix,
     *,
     cycles: int | None = None,
-    tolerance: float = 1e-9,
-    max_cycles: int = 100,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> IterationTrace:
     """Run the recursive weight iteration and record every cycle.
 
@@ -287,17 +291,16 @@ def power_iterate(
 def influence_trace(
     m: CitationMatrix,
     *,
-    self_citations: bool = True,
     cycles: int | None = None,
-    tolerance: float = 1e-9,
-    max_cycles: int = 100,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> IterationTrace:
     """Iteration trace of the recursive influence weights.
 
-    With ``self_citations=False`` the diagonal is zeroed before
-    normalization, so the reference totals used as divisors are recomputed
-    from the stripped matrix.  Iteration arguments are passed through to
-    :func:`power_iterate`.
+    Iteration arguments are passed through to :func:`power_iterate`.  To
+    leave out self-citations, pass :func:`strip_self_citations` of the
+    matrix, so the reference totals used as divisors are recomputed from
+    the stripped matrix.
 
     Raises
     ------
@@ -306,9 +309,8 @@ def influence_trace(
         above ``tolerance`` after ``max_cycles`` cycles.  Fixed-cycle runs
         return their trace whatever its ``converged`` flag.
     """
-    working = m if self_citations else strip_self_citations(m)
     trace = power_iterate(
-        pinski_narin_normalize(working),
+        pinski_narin_normalize(m),
         cycles=cycles,
         tolerance=tolerance,
         max_cycles=max_cycles,
@@ -324,17 +326,15 @@ def influence_trace(
 def influence_weights(
     m: CitationMatrix,
     *,
-    self_citations: bool = True,
     cycles: int | None = None,
-    tolerance: float = 1e-9,
-    max_cycles: int = 100,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> WeightVector:
     """Recursive influence weights: the final stochastic vector of
     :func:`influence_trace`, which documents the arguments and raises
     :class:`NumericalError` on tolerance-mode non-convergence."""
     return influence_trace(
         m,
-        self_citations=self_citations,
         cycles=cycles,
         tolerance=tolerance,
         max_cycles=max_cycles,

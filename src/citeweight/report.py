@@ -1,18 +1,19 @@
 """Rendering of analysis results as aligned text tables, CSV, or JSON.
 
-Every result is first turned into one or more sections (a titled grid of
-labelled rows) by the one layout of its type, then the chosen writer
-serializes the sections.  Numbers are written with 12 significant digits
-in every format, and the JSON writer re-parses that rendering so the
-three formats carry identical values.  Undefined (NaN) entries appear as
-"n/a" in tables, empty cells in CSV, and null in JSON; an infinite entry
-is an overflow, and no layout lets one through.
+Every result is first turned into one or more sections (row labels, a
+header and one 2-D array) by the one layout of its type, then the chosen
+writer serializes the sections one row at a time.  Numbers are written
+with 12 significant digits in every format, and the JSON writer re-parses
+that rendering so the three formats carry identical values.  Undefined
+(NaN) entries appear as "n/a" in tables, empty cells in CSV, and null in
+JSON; an infinite entry is an overflow, and no layout lets one through.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -31,8 +32,6 @@ from .metrics import (
 from .sensitivity import LinearFit, SensitivityReport
 
 FORMATS = ("table", "csv", "json")
-
-Cell = str | int | float
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,34 +52,39 @@ class FitReport:
     fit: LinearFit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Section:
-    """One titled grid: a header row, labelled data rows, and optional
-    table-only footer lines.  The first column holds the row key."""
+    """One titled grid: a header row, one row of ``values`` per label, and
+    optional table-only footer lines.  ``values`` is a 2-D float array, or
+    an object array where a column must keep Python ints."""
 
     key: str
     title: str
     header: tuple[str, ...]
-    rows: tuple[tuple[Cell, ...], ...]
+    labels: tuple[str, ...]
+    values: np.ndarray
     footer: tuple[str, ...] = ()
 
 
-def format_number(value: float) -> str:
-    """Canonical 12-significant-digit rendering shared by all writers."""
-    return f"{value:.12g}"
+#: Canonical 12-significant-digit rendering shared by all writers.
+format_number = "{:.12g}".format
 
 
-def _cell_text(value: Cell, undefined: str) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    if math.isnan(value):
-        return undefined
-    return format_number(float(value))
+def _texts(values, undefined: str) -> list[str]:
+    """12-digit texts of a sequence of numbers, NaN written as ``undefined``."""
+    texts = list(map(format_number, values))
+    if "nan" in texts:
+        texts = [undefined if text == "nan" else text for text in texts]
+    return texts
 
 
-def json_cell(value: Cell):
+def _text_rows(sec: Section, undefined: str):
+    """Yield each row of ``sec`` as its label and cell texts, one at a time."""
+    for label, row in zip(sec.labels, sec.values):
+        yield [label, *_texts(row.tolist(), undefined)]
+
+
+def json_cell(value: str | int | float):
     """The JSON value of one cell: NaN becomes null, and a float is
     re-parsed from its 12-digit rendering."""
     if isinstance(value, str):
@@ -113,10 +117,7 @@ def _grid(
             f"{key} value overflowed at row {journals.labels[i]!r}, "
             f"column {columns[j]!r}"
         )
-    rows = tuple(
-        (label, *cells) for label, cells in zip(journals.labels, values.tolist())
-    )
-    return Section(key, title, ("journal", *columns), rows, footer)
+    return Section(key, title, ("journal", *columns), journals.labels, values, footer)
 
 
 def _iw_layout(trace: IterationTrace) -> tuple[Section, ...]:
@@ -168,10 +169,10 @@ def _sensitivity_layout(result: SensitivityReport) -> tuple[Section, ...]:
     values = np.column_stack(
         (result.with_values, result.without_values, result.pct_change)
     )
-    footer = (
-        f"max |pct_change|:  {_cell_text(result.max_abs_pct_change, 'n/a')}",
-        f"mean |pct_change|: {_cell_text(result.mean_abs_pct_change, 'n/a')}",
+    max_text, mean_text = _texts(
+        (result.max_abs_pct_change, result.mean_abs_pct_change), "n/a"
     )
+    footer = (f"max |pct_change|:  {max_text}", f"mean |pct_change|: {mean_text}")
     columns = ("with", "without", "pct_change")
     return (_grid("sensitivity", title, columns, result.journals, values, footer),)
 
@@ -180,15 +181,14 @@ def _fit_layout(result: FitReport) -> tuple[Section, ...]:
     pairs, fit = result.sensitivity, result.fit
     title = "Fitted pairs (without against with)"
     values = np.column_stack((pairs.with_values, pairs.without_values))
-    stats: tuple[tuple[Cell, ...], ...] = (
-        ("slope", fit.slope),
-        ("intercept", fit.intercept),
-        ("pearson_r", fit.pearson_r),
-        ("n_points", fit.n_points),
-    )
+    names = ("slope", "intercept", "pearson_r", "n_points")
+    # an object column, so that n_points stays an int
+    stats = np.array([[getattr(fit, name)] for name in names], dtype=object)
     return (
         _grid("points", title, ("with", "without"), pairs.journals, values),
-        Section("statistics", "Least-squares line", ("statistic", "value"), stats),
+        Section(
+            "statistics", "Least-squares line", ("statistic", "value"), names, stats
+        ),
     )
 
 
@@ -213,22 +213,20 @@ def build_sections(result) -> tuple[Section, ...]:
 
 
 def _render_table(sections: Sequence[Section]) -> str:
-    blocks: list[str] = []
-    for sec in sections:
-        grid = [list(sec.header)] + [
-            [_cell_text(cell, "n/a") for cell in row] for row in sec.rows
-        ]
-        widths = [max(len(r[c]) for r in grid) for c in range(len(sec.header))]
-        lines = [sec.title, "-" * len(sec.title)]
-        for r, row in enumerate(grid):
-            padded = [
-                row[0].ljust(widths[0]),
-                *(cell.rjust(widths[c + 1]) for c, cell in enumerate(row[1:])),
-            ]
-            lines.append("  ".join(padded).rstrip())
-        lines.extend(sec.footer)
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
+    out = io.StringIO()
+    for index, sec in enumerate(sections):
+        if index:
+            out.write("\n")
+        # size, then write, in two passes: a section's texts are never all held
+        widths = list(map(len, sec.header))
+        for row in _text_rows(sec, "n/a"):
+            widths = list(map(max, widths, map(len, row)))
+        out.write(f"{sec.title}\n{'-' * len(sec.title)}\n")
+        for row in itertools.chain((sec.header,), _text_rows(sec, "n/a")):
+            padded = [row[0].ljust(widths[0]), *map(str.rjust, row[1:], widths[1:])]
+            out.write("  ".join(padded).rstrip() + "\n")
+        out.writelines(line + "\n" for line in sec.footer)
+    return out.getvalue()
 
 
 def _render_csv(sections: Sequence[Section]) -> str:
@@ -240,22 +238,16 @@ def _render_csv(sections: Sequence[Section]) -> str:
                 out.write("\n")
             out.write(f"# {sec.key}\n")
         writer.writerow(sec.header)
-        for row in sec.rows:
-            writer.writerow([_cell_text(cell, "") for cell in row])
+        writer.writerows(_text_rows(sec, ""))
     return out.getvalue()
 
 
-def _section_json(sec: Section):
-    mapping = {}
-    for row in sec.rows:
-        row_key = str(row[0])
-        if len(sec.header) == 2:
-            mapping[row_key] = json_cell(row[1])
-        else:
-            mapping[row_key] = {
-                name: json_cell(cell) for name, cell in zip(sec.header[1:], row[1:])
-            }
-    return mapping
+def _section_json(sec: Section) -> dict:
+    names = sec.header[1:]
+    rows = (map(json_cell, row.tolist()) for row in sec.values)
+    if len(names) == 1:
+        return {label: next(cells) for label, cells in zip(sec.labels, rows)}
+    return {label: dict(zip(names, cells)) for label, cells in zip(sec.labels, rows)}
 
 
 def _render_json(sections: Sequence[Section], meta: dict | None) -> str:
@@ -264,6 +256,10 @@ def _render_json(sections: Sequence[Section], meta: dict | None) -> str:
     else:
         payload = {sec.key: _section_json(sec) for sec in sections}
     if meta is not None:
+        if "meta" in payload:
+            raise CitationDataError(
+                "a row named 'meta' clashes with the meta block of the JSON report"
+            )
         payload = {**payload, "meta": meta}
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import CitationDataError, NumericalError
 from .matrix import CitationMatrix, JournalSet, margins, strip_self_citations
 from .metrics import (
+    DEFAULT_MAX_CYCLES,
+    DEFAULT_TOLERANCE,
     IterationTrace,
     check_iteration_args,
     influence_weights,
@@ -79,8 +81,8 @@ def self_citation_sensitivity(
     indicator: str = INDICATOR_IW,
     *,
     cycles: int | None = None,
-    tolerance: float = 1e-9,
-    max_cycles: int = 100,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> SensitivityReport:
     """Measure how much an indicator moves when self-citations are removed.
 
@@ -106,8 +108,7 @@ def self_citation_sensitivity(
             m, cycles=cycles, tolerance=tolerance, max_cycles=max_cycles
         ).values
         without_values = influence_weights(
-            m,
-            self_citations=False,
+            strip_self_citations(m),
             cycles=cycles,
             tolerance=tolerance,
             max_cycles=max_cycles,

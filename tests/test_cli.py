@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -492,6 +493,37 @@ class TestExitCodes:
         assert out == ""
         assert err == "citeweight: data-error: max_size must be at least 2, got -1\n"
 
+    def test_file_that_is_not_utf8_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_bytes(b"\xff,1\n1,1\n")
+        code, out, err = run(capsys, "iw", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "citeweight: data-error: input is not valid UTF-8 text: 'utf-8' codec "
+            "can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+
+    # every single-section report: its rows are the top-level JSON keys
+    @pytest.mark.parametrize(
+        "command", ["iw", "pwr", "normalize", "power -k 3", "diagnose", "sensitivity"]
+    )
+    def test_journal_named_meta_clashes_with_json_meta(self, capsys, tmp_path, command):
+        path = tmp_path / "labeled.csv"
+        path.write_text("x,meta,B,C\nmeta,5,2,1\nB,3,4,2\nC,1,2,6\n", encoding="utf-8")
+        args = (*command.split(), "--labeled", str(path), "--format")
+        for fmt in ("table", "csv"):
+            code, out, _ = run(capsys, *args, fmt)
+            assert code == 0
+            assert "\nmeta" in out
+        code, out, err = run(capsys, *args, "json")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "citeweight: data-error: a row named 'meta' clashes with the meta block "
+            "of the JSON report\n"
+        )
+
 
 # Exit code of each subcommand on each condition.  Columns, in order: iw,
 # pwr, normalize, power -k 3, diagnose, sensitivity with --indicator iw,
@@ -518,6 +550,8 @@ EXIT_CODE_TABLE = {
     # pwr and raw_cited never divide 1e308 by 1e-300; their results are finite
     "overflowed quotient": ("0,1e308\n1e-300,1\n", [], "303333033"),
     "above max size": ("1,1,1\n1,1,1\n1,1,1\n", ["--max-size", "2"], "222222222"),
+    # written with surrogateescape, so the file holds the byte 0xff
+    "not UTF-8": ("\udcff,1\n1,1\n", [], "222222222"),
 }
 
 
@@ -530,7 +564,7 @@ EXIT_CODE_TABLE = {
 def test_exit_code_table(capsys, tmp_path, condition, column):
     text, flags, codes = EXIT_CODE_TABLE[condition]
     path = tmp_path / "counts.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
     command = EXIT_CODE_SUBCOMMANDS[column]
     for fmt in ("table", "csv", "json"):
         code, out, err = run(capsys, *command, str(path), *flags, "--format", fmt)
@@ -544,6 +578,22 @@ class TestSubprocess:
         result = run_process(["normalize", "-"], stdin_text="1,2\n3,4\n")
         assert result.returncode == 0
         assert "J1" in result.stdout
+
+    def test_stdin_that_is_not_utf8_is_data_error(self):
+        # strict decoding, as under a UTF-8 locale
+        result = subprocess.run(
+            [sys.executable, "-m", "citeweight", "iw", "-"],
+            capture_output=True,
+            input=b"1,\xff\n1,1\n",
+            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr.startswith(
+            b"citeweight: data-error: input is not valid UTF-8 text: "
+        )
+        assert len(result.stderr.splitlines()) == 1
 
     def test_module_entry_point(self):
         result = run_process(["iw", "--fixture", "price", "--iterations", "7"])

@@ -88,7 +88,7 @@ def test_single_section_csv_has_no_marker(price):
 
 
 def test_nan_rendering_differs_by_format():
-    sec = Section("s", "S", ("journal", "value"), (("A", float("nan")),))
+    sec = Section("s", "S", ("journal", "value"), ("A",), np.array([[np.nan]]))
     assert "n/a" in render_sections([sec], "table")
     assert render_sections([sec], "csv") == "journal,value\nA,\n"
     assert json.loads(render_sections([sec], "json"))["A"] is None
