@@ -22,6 +22,7 @@ from .fixtures import FIXTURES, load_fixture, price_matrix
 from .matrix import (
     DEFAULT_MAX_SIZE,
     CitationMatrix,
+    _check_max_size,
     matrix_power,
     parse_matrix_csv,
     strip_self_citations,
@@ -203,6 +204,7 @@ def _load_input(args) -> tuple[CitationMatrix, str]:
         raise _UsageError("give either a matrix path or --fixture, not both")
     if not has_path and not has_fixture:
         raise _UsageError("a matrix path (or - for stdin) or --fixture is required")
+    _check_max_size(args.max_size)
     if has_fixture:
         m = load_fixture(args.fixture)
         source = f"fixture:{args.fixture}"

@@ -10,9 +10,10 @@ supported:
 * labeled    -- the first row carries column labels, the first column row
   labels, and both label axes must agree exactly.
 
-Both CRLF and LF line endings are accepted on input; output always uses
-LF.  All counts are stored as binary64 reals so that pre-normalized
-matrices round-trip through the same code path as raw integer counts.
+CRLF, LF and bare CR line endings and a leading byte-order mark are
+accepted on input; output always uses LF.  All counts are stored as
+binary64 reals so that pre-normalized matrices round-trip through the same
+code path as raw integer counts.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,12 @@ from .errors import CitationDataError, NumericalError
 #: Default cap on matrix size accepted by the parser; raise per call via
 #: ``max_size`` when a larger matrix is intended.
 DEFAULT_MAX_SIZE = 1024
+
+# A line and its ending, split where io.StringIO(newline="") splits: at
+# "\r\n", "\r" or "\n" only.  str.splitlines would also split at "\x0c",
+# "\x1c"-"\x1e", "\x85", "\u2028" and "\u2029", which float() and the csv
+# reader read as field text.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
 
 @dataclass(frozen=True)
@@ -73,7 +81,19 @@ class CitationMatrix:
     counts: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.counts, dtype=float)
+        self._own(np.array(self.counts, dtype=float))
+
+    @classmethod
+    def _adopt(cls, journals: JournalSet, counts: np.ndarray) -> CitationMatrix:
+        """Wrap a float array the package has just built and nothing else
+        holds: the constructor's checks, without its defensive copy."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "journals", journals)
+        m._own(np.asarray(counts, dtype=float))
+        return m
+
+    def _own(self, arr: np.ndarray) -> None:
+        """Check ``arr``, make it read-only and store it as the counts."""
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise CitationDataError(f"matrix must be square, got shape {arr.shape}")
         n = arr.shape[0]
@@ -112,6 +132,11 @@ class MarginTotals:
     grand_total: float
 
 
+def _check_max_size(max_size: int) -> None:
+    if max_size < 2:
+        raise CitationDataError(f"max_size must be at least 2, got {max_size!r}")
+
+
 def _decode(data: str | bytes) -> str:
     if isinstance(data, bytes):
         try:
@@ -131,8 +156,9 @@ def parse_matrix_csv(
     Parameters
     ----------
     data : str or bytes
-        CSV content; bytes are decoded as UTF-8.  CRLF and LF line endings
-        are both accepted, and a trailing newline is tolerated.
+        CSV content; bytes are decoded as UTF-8.  CRLF, LF and CR line
+        endings are accepted, as are a trailing newline and one leading
+        byte-order mark (U+FEFF).
     labeled : bool
         When True, the first row holds column labels (after a corner cell)
         and the first column holds row labels; the two axes must list the
@@ -148,17 +174,16 @@ def parse_matrix_csv(
         duplicate or mismatched labels, sizes outside [2, max_size], and a
         ``max_size`` below 2.
     """
-    if max_size < 2:
-        raise CitationDataError(f"max_size must be at least 2, got {max_size!r}")
+    _check_max_size(max_size)
     text = _decode(data)
     # Stop at the first row past the cap, so an oversized input is never
     # materialised; the header row of a labeled matrix does not count.
     row_cap = max_size + 1 if labeled else max_size
     rows = []
-    # newline='' hands CRLF through to the csv reader, which understands it.
-    # The reader is not kept in a local: its StringIO holds a copy of the
-    # text at four bytes a character, which must be freed before conversion.
-    for row in csv.reader(io.StringIO(text, newline="")):
+    # The reader gets one line at a time, with its ending, so no second copy
+    # of the text is held; a leading byte-order mark is skipped.
+    lines = _LINE.finditer(text, 1 if text.startswith("\ufeff") else 0)
+    for row in csv.reader(map(re.Match.group, lines)):
         if not row:
             continue
         if len(rows) == row_cap:
@@ -213,7 +238,7 @@ def parse_matrix_csv(
     except ValueError:
         _raise_first_non_numeric(cells)
         raise
-    return CitationMatrix(label_set, values)
+    return CitationMatrix._adopt(label_set, values)
 
 
 def _raise_first_non_numeric(cells: list[list[str]]) -> None:
@@ -277,14 +302,17 @@ def margins(m: CitationMatrix) -> MarginTotals:
 
 def transpose(m: CitationMatrix) -> CitationMatrix:
     """Swap the cited and citing axes."""
-    return CitationMatrix(m.journals, m.counts.T)
+    # The copy keeps the memory order of m.counts, so the result is
+    # column-major; a row-major copy would change the summation order of
+    # the products in power_iterate and the last bits of the weights.
+    return CitationMatrix._adopt(m.journals, m.counts.T.copy(order="K"))
 
 
 def strip_self_citations(m: CitationMatrix) -> CitationMatrix:
     """Return a copy with every diagonal (within-journal) count zeroed."""
     values = m.counts.copy()
     np.fill_diagonal(values, 0.0)
-    return CitationMatrix(m.journals, values)
+    return CitationMatrix._adopt(m.journals, values)
 
 
 def matrix_power(m: CitationMatrix, k: int) -> np.ndarray:

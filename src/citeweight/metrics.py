@@ -41,7 +41,19 @@ class NormalizedMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
+        self._own(np.array(self.values, dtype=float))
+
+    @classmethod
+    def _adopt(cls, journals: JournalSet, values: np.ndarray) -> NormalizedMatrix:
+        """Wrap a float array the package has just built and nothing else
+        holds: the constructor's checks, without its defensive copy."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "journals", journals)
+        m._own(np.asarray(values, dtype=float))
+        return m
+
+    def _own(self, arr: np.ndarray) -> None:
+        """Check ``arr``, make it read-only and store it as the values."""
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise CitationDataError(f"matrix must be square, got shape {arr.shape}")
         if len(self.journals) != arr.shape[0]:
@@ -192,7 +204,7 @@ def pinski_narin_normalize(m: CitationMatrix) -> NormalizedMatrix:
             raise NumericalError(
                 f"normalized cell ({labels[i]!r}, {labels[overflowed[0]]!r}) overflowed"
             )
-    return NormalizedMatrix(m.journals, values)
+    return NormalizedMatrix._adopt(m.journals, values)
 
 
 def _iterable_values(matrix: CitationMatrix | NormalizedMatrix) -> tuple[JournalSet, np.ndarray]:
@@ -275,9 +287,8 @@ def power_iterate(
         vector = product / mass
         delta = float(np.abs(vector - previous).sum())
         product.setflags(write=False)
-        stochastic = vector.copy()
-        stochastic.setflags(write=False)
-        steps.append(IterationStep(cycle, product, stochastic, delta))
+        vector.setflags(write=False)
+        steps.append(IterationStep(cycle, product, vector, delta))
         previous = vector
         if cycles is not None:
             if cycle >= cycles:

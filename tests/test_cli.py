@@ -493,6 +493,24 @@ class TestExitCodes:
         assert out == ""
         assert err == "citeweight: data-error: max_size must be at least 2, got -1\n"
 
+    def test_max_size_below_two_is_data_error_with_a_fixture(self, capsys):
+        code, out, err = run(capsys, "iw", "--fixture", "price", "--max-size", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "citeweight: data-error: max_size must be at least 2, got 1\n"
+
+    @pytest.mark.parametrize("labeled", [False, True], ids=["headerless", "labeled"])
+    def test_file_with_byte_order_mark(self, capsys, tmp_path, labeled):
+        # Excel's "CSV UTF-8" export starts the file with a byte-order mark
+        text = '"cited, citing",A,B\nA,1,2\nB,3,4\n' if labeled else "1,2\n3,4\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        flags = ["--labeled"] if labeled else []
+        code, out, err = run(capsys, "iw", str(marked), *flags, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "iw", str(plain), *flags, "--format", "csv")[1]
+
     def test_file_that_is_not_utf8_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_bytes(b"\xff,1\n1,1\n")
@@ -550,6 +568,8 @@ EXIT_CODE_TABLE = {
     # pwr and raw_cited never divide 1e308 by 1e-300; their results are finite
     "overflowed quotient": ("0,1e308\n1e-300,1\n", [], "303333033"),
     "above max size": ("1,1,1\n1,1,1\n1,1,1\n", ["--max-size", "2"], "222222222"),
+    # no input file: the bundled fixture is read
+    "max size below 2, fixture": (None, ["--fixture", "price", "--max-size", "1"], "222222222"),
     # written with surrogateescape, so the file holds the byte 0xff
     "not UTF-8": ("\udcff,1\n1,1\n", [], "222222222"),
 }
@@ -563,11 +583,14 @@ EXIT_CODE_TABLE = {
 @pytest.mark.parametrize("condition", list(EXIT_CODE_TABLE))
 def test_exit_code_table(capsys, tmp_path, condition, column):
     text, flags, codes = EXIT_CODE_TABLE[condition]
-    path = tmp_path / "counts.csv"
-    path.write_text(text, encoding="utf-8", errors="surrogateescape")
+    source = []
+    if text is not None:
+        path = tmp_path / "counts.csv"
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")
+        source = [str(path)]
     command = EXIT_CODE_SUBCOMMANDS[column]
     for fmt in ("table", "csv", "json"):
-        code, out, err = run(capsys, *command, str(path), *flags, "--format", fmt)
+        code, out, err = run(capsys, *command, *source, *flags, "--format", fmt)
         assert code == int(codes[column]), (fmt, err)
         assert (out == "") == (code != 0)
         assert len(err.splitlines()) == (code != 0)
@@ -594,6 +617,18 @@ class TestSubprocess:
             b"citeweight: data-error: input is not valid UTF-8 text: "
         )
         assert len(result.stderr.splitlines()) == 1
+
+    def test_stdin_with_byte_order_mark(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "citeweight", "iw", "-"],
+            capture_output=True,
+            input=b"\xef\xbb\xbf1,2\n3,4\n",
+            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+            timeout=60,
+        )
+        assert result.returncode == 0
+        assert result.stderr == b""
+        assert b"J1" in result.stdout
 
     def test_module_entry_point(self):
         result = run_process(["iw", "--fixture", "price", "--iterations", "7"])

@@ -85,6 +85,23 @@ class TestParse:
         m = parse_matrix_csv(b"1,2\n3,4\n")
         assert m.counts[1, 0] == 3.0
 
+    @pytest.mark.parametrize(
+        "data", ["\ufeff1,2\n3,4\n", "\ufeff1,2\n3,4\n".encode("utf-8")], ids=["str", "bytes"]
+    )
+    def test_leading_byte_order_mark_is_skipped(self, data):
+        assert parse_matrix_csv(data).counts.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_byte_order_mark_before_a_quoted_corner_cell(self):
+        # after an unskipped mark the quote no longer opens the field, and
+        # the comma inside it splits the header row
+        m = parse_matrix_csv('\ufeff"cited, citing",A,B\nA,1,2\nB,3,4\n', labeled=True)
+        assert m.journals.labels == ("A", "B")
+        assert m.counts.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_only_one_byte_order_mark_is_skipped(self):
+        with pytest.raises(CitationDataError, match=r"row 1, column 1: '\\ufeff1'"):
+            parse_matrix_csv("\ufeff\ufeff1,2\n3,4\n")
+
     def test_labeled_round_trip(self, price):
         text = serialize_matrix_csv(price, labeled=True)
         back = parse_matrix_csv(text, labeled=True)

@@ -1,0 +1,129 @@
+"""Who holds the arrays.
+
+The public constructors copy what the caller passes in.  A matrix the
+package builds itself (by parsing, transposing, stripping or normalizing)
+is wrapped without a second copy, but with the constructor's checks and
+messages, and is read-only.  The memory bounds are traced with tracemalloc,
+which sees numpy's data buffers, at n=512, where one float64 matrix takes
+2 MiB.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from citeweight import (
+    CitationDataError,
+    CitationMatrix,
+    JournalSet,
+    NormalizedMatrix,
+    NumericalError,
+    WeightVector,
+    parse_matrix_csv,
+    pinski_narin_normalize,
+    power_iterate,
+    price_matrix,
+    strip_self_citations,
+    transpose,
+)
+
+N = 512
+MATRIX_BYTES = N * N * 8
+
+
+@pytest.mark.parametrize(
+    "build, attribute, source",
+    [
+        (CitationMatrix, "counts", np.array([[1.0, 2.0], [3.0, 4.0]])),
+        (NormalizedMatrix, "values", np.array([[0.25, 0.5], [0.75, 0.5]])),
+        (WeightVector, "values", np.array([0.25, 0.75])),
+    ],
+    ids=["CitationMatrix", "NormalizedMatrix", "WeightVector"],
+)
+def test_public_constructors_copy_their_input(build, attribute, source):
+    held = getattr(build(JournalSet(("A", "B")), source), attribute)
+    before = held.copy()
+    assert not np.shares_memory(held, source)
+    source[...] = 9.0
+    assert held.tobytes() == before.tobytes()
+    assert not held.flags.writeable
+
+
+def _package_matrices():
+    m = parse_matrix_csv("5,1,2\n1,6,3\n2,2,4\n")
+    return {
+        "parse": (None, m.counts),
+        "price_matrix": (None, price_matrix().counts),
+        "transpose": (m.counts, transpose(m).counts),
+        "strip_self_citations": (m.counts, strip_self_citations(m).counts),
+        "pinski_narin_normalize": (m.counts, pinski_narin_normalize(m).values),
+    }
+
+
+@pytest.mark.parametrize("name", list(_package_matrices()))
+def test_package_matrices_are_read_only_and_unshared(name):
+    source, result = _package_matrices()[name]
+    assert not result.flags.writeable
+    with pytest.raises(ValueError):
+        result[0, 0] = 1.0
+    if source is not None:
+        assert not np.shares_memory(result, source)
+
+
+def test_iteration_vectors_are_read_only_and_distinct(price):
+    trace = power_iterate(pinski_narin_normalize(price), cycles=4)
+    vectors = [v for step in trace.steps for v in (step.unnormalized, step.stochastic)]
+    assert not any(v.flags.writeable for v in vectors)
+    for i, a in enumerate(vectors):
+        for b in vectors[i + 1 :]:
+            assert not np.shares_memory(a, b)
+    assert not trace.final.values.flags.writeable
+
+
+def test_adopted_arrays_keep_the_constructor_messages():
+    with pytest.raises(CitationDataError) as negative:
+        parse_matrix_csv("1,2\n-3,4\n")
+    assert str(negative.value) == "cell (1, 0) is negative: -3"
+    with pytest.raises(CitationDataError) as infinite:
+        parse_matrix_csv("1,2\n3,inf\n")
+    assert str(infinite.value) == "cell (1, 1) is not finite"
+    # B's reference total is 1e-300, so 1e308 / 1e-300 overflows
+    m = CitationMatrix(JournalSet(("A", "B")), np.array([[0.0, 1e308], [1e-300, 1.0]]))
+    with pytest.raises(NumericalError) as overflow:
+        pinski_narin_normalize(m)
+    assert str(overflow.value) == "normalized cell ('A', 'B') overflowed"
+
+
+def _traced_peak(func, *args):
+    """Bytes allocated at the peak of ``func(*args)`` above what was live
+    when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        func(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def large():
+    counts = np.random.default_rng(512).integers(1, 500, size=(N, N))
+    return CitationMatrix(JournalSet(tuple(f"J{i}" for i in range(N))), counts)
+
+
+@pytest.mark.parametrize("func", [strip_self_citations, pinski_narin_normalize])
+def test_derived_matrix_is_built_once(large, func):
+    # the result and the checks' boolean temporaries; a second copy of the
+    # result would put the peak above two matrices
+    assert _traced_peak(func, large) <= 1.5 * MATRIX_BYTES
+
+
+def test_parse_holds_no_second_copy_of_the_text():
+    # One-character fields are CPython's cached strings, so the row lists
+    # cost one pointer per cell: a matrix's worth, and the result another.
+    # A copy of the text at four bytes a character would add a third.
+    digits = np.random.default_rng(512).integers(1, 10, size=(N, N))
+    text = "".join(",".join(map(str, row)) + "\n" for row in digits.tolist())
+    assert _traced_peak(parse_matrix_csv, text) <= 2.5 * MATRIX_BYTES
