@@ -297,6 +297,8 @@ def margins(m: CitationMatrix) -> MarginTotals:
             )
     if not np.isfinite(grand):
         raise NumericalError("grand total of the citation matrix overflowed")
+    cited.setflags(write=False)
+    citing.setflags(write=False)
     return MarginTotals(cited, citing, grand)
 
 
@@ -318,8 +320,8 @@ def strip_self_citations(m: CitationMatrix) -> CitationMatrix:
 def matrix_power(m: CitationMatrix, k: int) -> np.ndarray:
     """Compute the k-th power of the count matrix by repeated squaring.
 
-    Returns a plain real-valued array; ``k=1`` returns the counts
-    unchanged.  Binary exponentiation needs O(log k) products, and the
+    Returns a read-only real-valued array; ``k=1`` returns a copy of the
+    counts.  Binary exponentiation needs O(log k) products, and the
     results are exact for integer counts below 2**53.  Entries grow
     geometrically with k, so the computation runs in binary64 and stops
     with an error the moment a product cell stops being finite.
@@ -343,6 +345,7 @@ def matrix_power(m: CitationMatrix, k: int) -> np.ndarray:
         if bit == "1":
             power += 1
             result = _power_product(m, result, m.counts, power)
+    result.setflags(write=False)
     return result
 
 

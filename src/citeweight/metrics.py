@@ -217,16 +217,26 @@ def _iterable_values(matrix: CitationMatrix | NormalizedMatrix) -> tuple[Journal
     )
 
 
+def _is_positive_count(value) -> bool:
+    """Whether ``value`` is an integer of at least 1 (a bool is not)."""
+    return (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and value >= 1
+    )
+
+
 def check_iteration_args(cycles: int | None, tolerance: float, max_cycles: int) -> None:
     """Raise :class:`CitationDataError` unless the iteration arguments of
     :func:`power_iterate` are valid: a positive integer or None for
-    ``cycles``, a finite positive ``tolerance``, and ``max_cycles`` >= 1."""
-    if cycles is not None and (not isinstance(cycles, (int, np.integer)) or cycles < 1):
+    ``cycles``, a finite positive ``tolerance``, and a positive integer
+    ``max_cycles``."""
+    if cycles is not None and not _is_positive_count(cycles):
         raise CitationDataError(f"cycle count must be a positive integer, got {cycles!r}")
     if not (tolerance > 0 and math.isfinite(tolerance)):
         raise CitationDataError(f"tolerance must be finite and positive, got {tolerance!r}")
-    if max_cycles < 1:
-        raise CitationDataError(f"max_cycles must be at least 1, got {max_cycles!r}")
+    if not _is_positive_count(max_cycles):
+        raise CitationDataError(f"max_cycles must be a positive integer, got {max_cycles!r}")
 
 
 def power_iterate(
@@ -391,8 +401,7 @@ def self_citation_diagnostics(m: CitationMatrix) -> SelfCitationDiagnostics:
     self_counts = np.diagonal(m.counts).copy()
     cited_by_others = totals.cited_totals - self_counts
     citing_others = totals.citing_totals - self_counts
-    return SelfCitationDiagnostics(
-        journals=m.journals,
+    arrays = dict(
         self_citations=self_counts,
         cited_by_others=cited_by_others,
         citing_others=citing_others,
@@ -401,6 +410,9 @@ def self_citation_diagnostics(m: CitationMatrix) -> SelfCitationDiagnostics:
         cited_citing_ratio_with=_safe_divide(totals.cited_totals, totals.citing_totals),
         cited_citing_ratio_without=_safe_divide(cited_by_others, citing_others),
     )
+    for values in arrays.values():
+        values.setflags(write=False)
+    return SelfCitationDiagnostics(m.journals, **arrays)
 
 
 def _safe_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 Every result is first turned into one or more sections (row labels, a
 header and one 2-D array) by the one layout of its type, then the chosen
-writer serializes the sections one row at a time.  Numbers are written
-with 12 significant digits in every format, and the JSON writer re-parses
-that rendering so the three formats carry identical values.  Undefined
+writer streams the sections one row at a time into the report text.
+Numbers are written with 12 significant digits in every format; a JSON
+number is the shortest repr of the 12-digit value, so the three formats
+carry identical values.  The JSON writer produces the indented text of
+``json.dumps(..., indent=2)`` itself, without building the dict.  Undefined
 (NaN) entries appear as "n/a" in tables, empty cells in CSV, and null in
 JSON; an infinite entry is an overflow, and no layout lets one through.
 """
@@ -16,6 +18,7 @@ import io
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -242,26 +245,97 @@ def _render_csv(sections: Sequence[Section]) -> str:
     return out.getvalue()
 
 
-def _section_json(sec: Section) -> dict:
+def _json_floats(row: list[float]) -> list[str]:
+    """JSON texts of a row of floats, ``repr(float(f"{v:.12g}"))`` each,
+    NaN as null."""
+    texts = list(map(format_number, row))
+    joined = "".join(texts)
+    # A 12-digit text with a point and no exponent is already its float's
+    # repr.  Each text holds at most one of each, so the counts tell
+    # whether every text is one; only the others are re-parsed: integral
+    # values, exponent forms (.12g from 1e12 on, repr only from 1e16),
+    # nan and inf.
+    if joined.count(".") - joined.count("e") == len(texts):
+        return texts
+    texts = [t if "." in t and "e" not in t else repr(float(t)) for t in texts]
+    if "n" in joined:
+        if "inf" in joined:
+            raise ValueError("Out of range float values are not JSON compliant")
+        texts = ["null" if t == "nan" else t for t in texts]
+    return texts
+
+
+def _json_cells(row: list) -> list[str]:
+    """JSON texts of a row of an object array, one :func:`json_cell` each."""
+    return [json.dumps(json_cell(value), allow_nan=False) for value in row]
+
+
+def _json_rows(sec: Section) -> dict:
+    """Row index of each label, as a dict keeps them: a repeated label has
+    its first position and its last row."""
+    return dict(zip(sec.labels, range(len(sec.values))))
+
+
+def _json_section(sec: Section, indent: str):
+    """Yield ``sec`` as (label, JSON text) members of an object indented by
+    ``indent``, formatting one row at a time.  With one column a row is its
+    cell, otherwise an object keyed by column name, in which a repeated name
+    also keeps its first position and its last cell."""
+    cells = _json_floats if sec.values.dtype.kind == "f" else _json_cells
+    rows = _json_rows(sec)
     names = sec.header[1:]
-    rows = (map(json_cell, row.tolist()) for row in sec.values)
     if len(names) == 1:
-        return {label: next(cells) for label, cells in zip(sec.labels, rows)}
-    return {label: dict(zip(names, cells)) for label, cells in zip(sec.labels, rows)}
+        for label, i in rows.items():
+            yield label, cells(sec.values[i].tolist())[0]
+        return
+    columns = dict(zip(names, range(sec.values.shape[1])))
+    inner = indent + "    "
+    keys = [f"\n{inner}{json.dumps(name)}: " for name in columns]
+    picks = list(columns.values())
+    close = f"\n{indent}  }}"
+    for label, i in rows.items():
+        texts = cells(sec.values[i].tolist())
+        body = ",".join(map(operator.add, keys, map(texts.__getitem__, picks)))
+        yield label, f"{{{body}{close}" if body else "{}"
+
+
+def _json_object(members, indent: str):
+    """Yield, piece by piece, the indented JSON text of an object whose
+    ``members`` are (key, value text or iterable of pieces) pairs."""
+    separator = "{"
+    for key, value in members:
+        yield f"{separator}\n{indent}  {json.dumps(key)}: "
+        if isinstance(value, str):
+            yield value
+        else:
+            yield from value
+        separator = ","
+    yield "{}" if separator == "{" else f"\n{indent}}}"
 
 
 def _render_json(sections: Sequence[Section], meta: dict | None) -> str:
+    # the text json.dumps(indent=2) writes for the dict of the rows (one
+    # section) or of the sections by key, with "meta" last
     if len(sections) == 1:
-        payload = _section_json(sections[0])
+        keys = _json_rows(sections[0])
+        members = _json_section(sections[0], "")
     else:
-        payload = {sec.key: _section_json(sec) for sec in sections}
+        keys = {sec.key: sec for sec in sections}
+        members = (
+            (key, _json_object(_json_section(sec, "  "), "  "))
+            for key, sec in keys.items()
+        )
     if meta is not None:
-        if "meta" in payload:
+        if "meta" in keys:
             raise CitationDataError(
                 "a row named 'meta' clashes with the meta block of the JSON report"
             )
-        payload = {**payload, "meta": meta}
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        meta_text = json.dumps(meta, indent=2, allow_nan=False).replace("\n", "\n  ")
+        members = itertools.chain(members, [("meta", meta_text)])
+    out = io.StringIO()
+    out.writelines(_json_object(members, ""))
+    out.write("\n")
+    return out.getvalue()
 
 
 def render_sections(sections: Sequence[Section], fmt: str, meta: dict | None = None) -> str:

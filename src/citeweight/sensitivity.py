@@ -139,11 +139,15 @@ def self_citation_sensitivity(
     else:
         max_abs = math.nan
         mean_abs = math.nan
+    with_values = np.array(with_values, dtype=float)
+    without_values = np.array(without_values, dtype=float)
+    for values in (with_values, without_values, pct):
+        values.setflags(write=False)
     return SensitivityReport(
         indicator=indicator,
         journals=m.journals,
-        with_values=np.array(with_values, dtype=float),
-        without_values=np.array(without_values, dtype=float),
+        with_values=with_values,
+        without_values=without_values,
         pct_change=pct,
         max_abs_pct_change=max_abs,
         mean_abs_pct_change=mean_abs,

@@ -337,6 +337,41 @@ class TestOtherCommands:
             assert elapsed < 1.0, command
 
 
+@pytest.fixture(scope="module")
+def seeded_csv(tmp_path_factory):
+    counts = np.random.default_rng(64).integers(0, 500, size=(64, 64))
+    path = tmp_path_factory.mktemp("seeded") / "counts.csv"
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in counts.tolist()))
+    return str(path)
+
+
+_JSON_COMMANDS = [
+    ["iw"],
+    ["pwr"],
+    ["normalize"],
+    ["power", "-k", "3"],
+    ["diagnose"],
+    ["sensitivity", "--indicator", "iw"],
+    ["sensitivity", "--indicator", "raw_cited"],
+    ["sensitivity", "--indicator", "cited_citing_ratio"],
+    ["fit"],
+]
+
+
+@pytest.mark.parametrize(
+    "command, source",
+    [(command, source) for command in _JSON_COMMANDS for source in ("price", "seeded")]
+    + [(["reproduce-paper"], None)],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+)
+def test_json_report_is_in_canonical_form(capsys, seeded_csv, command, source):
+    # the form the benchmark's output check requires of every JSON report
+    inputs = {"price": ["--fixture", "price"], "seeded": [seeded_csv], None: []}[source]
+    code, out, err = run(capsys, *command, *inputs, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2, allow_nan=False) + "\n"
+
+
 class TestUndefinedValueRendering:
     @pytest.fixture
     def isolated_csv(self, tmp_path):

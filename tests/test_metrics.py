@@ -190,6 +190,17 @@ class TestPowerIterate:
             power_iterate(small, max_cycles=0)
         with pytest.raises(CitationDataError):
             power_iterate(small.counts)
+        # a bool is not a cycle count, and a budget must be a whole number
+        for bad in (True, False):
+            with pytest.raises(CitationDataError, match="cycle count must be"):
+                power_iterate(small, cycles=bad)
+            with pytest.raises(CitationDataError, match="max_cycles must be"):
+                power_iterate(small, max_cycles=bad)
+        for bad in (2.5, 3.0):
+            with pytest.raises(CitationDataError, match=f"max_cycles must be .* {bad}"):
+                power_iterate(small, max_cycles=bad)
+        assert power_iterate(small, cycles=np.int64(2)).iterations_used == 2
+        assert power_iterate(small, max_cycles=np.int32(100)).converged
 
 
 class TestInfluenceWeights:

@@ -3,9 +3,9 @@
 The public constructors copy what the caller passes in.  A matrix the
 package builds itself (by parsing, transposing, stripping or normalizing)
 is wrapped without a second copy, but with the constructor's checks and
-messages, and is read-only.  The memory bounds are traced with tracemalloc,
-which sees numpy's data buffers, at n=512, where one float64 matrix takes
-2 MiB.
+messages, and is read-only, as is every array of a result it returns.
+The memory bounds are traced with tracemalloc, which sees numpy's data
+buffers, at n=512, where one float64 matrix takes 2 MiB.
 """
 
 import tracemalloc
@@ -20,10 +20,14 @@ from citeweight import (
     NormalizedMatrix,
     NumericalError,
     WeightVector,
+    margins,
+    matrix_power,
     parse_matrix_csv,
     pinski_narin_normalize,
     power_iterate,
     price_matrix,
+    self_citation_diagnostics,
+    self_citation_sensitivity,
     strip_self_citations,
     transpose,
 )
@@ -69,6 +73,43 @@ def test_package_matrices_are_read_only_and_unshared(name):
         result[0, 0] = 1.0
     if source is not None:
         assert not np.shares_memory(result, source)
+
+
+def _result_arrays():
+    m = price_matrix()
+    diagnostics = self_citation_diagnostics(m)
+    sensitivity = self_citation_sensitivity(m, cycles=7)
+    totals = margins(m)
+    arrays = {
+        f"diagnostics.{name}": getattr(diagnostics, name)
+        for name in (
+            "self_citations",
+            "cited_by_others",
+            "citing_others",
+            "self_cited_rate",
+            "self_citing_rate",
+            "cited_citing_ratio_with",
+            "cited_citing_ratio_without",
+        )
+    }
+    for name in ("with_values", "without_values", "pct_change"):
+        arrays[f"sensitivity.{name}"] = getattr(sensitivity, name)
+    arrays["margins.cited_totals"] = totals.cited_totals
+    arrays["margins.citing_totals"] = totals.citing_totals
+    for k in (1, 3):
+        arrays[f"matrix_power.k{k}"] = matrix_power(m, k)
+    return arrays
+
+
+@pytest.mark.parametrize("name", list(_result_arrays()))
+def test_result_arrays_are_read_only(name):
+    values = _result_arrays()[name]
+    with pytest.raises(ValueError):
+        values[0] = 1.0
+
+
+def test_matrix_power_of_one_does_not_share_the_counts(price):
+    assert not np.shares_memory(matrix_power(price, 1), price.counts)
 
 
 def test_iteration_vectors_are_read_only_and_distinct(price):

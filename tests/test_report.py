@@ -102,3 +102,12 @@ def test_infinite_cell_is_refused_naming_section_row_and_column():
         match="diagnostics value overflowed at row 'A', column 'cited_citing_ratio_with'",
     ):
         build_sections(diagnostics)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [float, object])
+def test_json_refuses_an_infinite_cell_of_a_hand_built_section(value, dtype):
+    values = np.array([[1.0, value]], dtype=dtype)
+    sec = Section("s", "S", ("journal", "a", "b"), ("A",), values)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        render_sections([sec], "json")

@@ -17,14 +17,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citeweight import CitationDataError, Section, render_sections
+from citeweight import (
+    CitationDataError,
+    CitationMatrix,
+    JournalSet,
+    Section,
+    build_sections,
+    matrix_power,
+    pinski_narin_normalize,
+    render_sections,
+)
+from citeweight.report import MatrixPower
 
 EXAMPLES = settings(max_examples=150, deadline=None)
 
 NAN = float("nan")
 # NaN of both signs, zeros of both signs, the smallest subnormal and normal
-# numbers, integral values, and values whose 12-digit form is exponential
-SPECIAL = (NAN, -NAN, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 9384.0)
+# numbers, integral values, and values whose 12-digit form is exponential.
+# Then the edges where a 12-digit text and a float repr switch between
+# fixed and exponent form: 1e-4 for both, 1e12 for the text (999999999999.5
+# rounds up to it) and 1e16 for the repr.
+SPECIAL = (
+    *(NAN, -NAN, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 9384.0),
+    *(1e-05, 9.99999999999e-05, 0.0001, 123456789012.0, 999999999999.5, 1e12),
+    *(-1e15, 9999999999999998.0, 1e16, 1.2345678901234e16),
+)
 FLOATS = st.one_of(
     st.sampled_from(SPECIAL),
     st.floats(allow_nan=True, allow_infinity=False),
@@ -169,3 +186,22 @@ def test_writers_match_per_cell_reference(report):
             render_sections(secs, "json", meta)
     else:
         assert render_sections(secs, "json", meta) == reference_json(payload, meta)
+
+
+def test_normalized_matrix_and_its_cube_match_the_json_reference():
+    # one in ten counts is zero, so the normalized matrix has integral
+    # cells; the cube's cells lie on both sides of 1e16, where the float
+    # repr turns exponential, and all are above 1e12, where the 12-digit
+    # text already is
+    rng = np.random.default_rng(48)
+    counts = rng.integers(1, 37_000, size=(48, 48)).astype(float)
+    counts[rng.random((48, 48)) < 0.1] = 0.0
+    m = CitationMatrix(JournalSet(tuple(f"J{i}" for i in range(48))), counts)
+    cube = matrix_power(m, 3)
+    assert (cube >= 1e12).all()
+    assert (cube < 1e16).any() and (cube >= 1e16).any()
+    meta = {"source": "seeded", "k": 3}
+    for result in (pinski_narin_normalize(m), MatrixPower(m.journals, cube, 3)):
+        secs = build_sections(result)
+        expected = reference_json(reference_json_payload(secs), meta)
+        assert render_sections(secs, "json", meta) == expected
