@@ -83,15 +83,6 @@ class CitationMatrix:
     def __post_init__(self):
         self._own(np.array(self.counts, dtype=float))
 
-    @classmethod
-    def _adopt(cls, journals: JournalSet, counts: np.ndarray) -> CitationMatrix:
-        """Wrap a float array the package has just built and nothing else
-        holds: the constructor's checks, without its defensive copy."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "journals", journals)
-        m._own(np.asarray(counts, dtype=float))
-        return m
-
     def _own(self, arr: np.ndarray) -> None:
         """Check ``arr``, make it read-only and store it as the counts."""
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -119,6 +110,15 @@ class CitationMatrix:
         return self.counts.shape[0]
 
 
+def _adopt(cls, journals: JournalSet, values: np.ndarray):
+    """A ``cls`` matrix wrapping a float array the package has just built and
+    nothing else holds: the constructor's checks, without its defensive copy."""
+    m = object.__new__(cls)
+    object.__setattr__(m, "journals", journals)
+    m._own(np.asarray(values, dtype=float))
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class MarginTotals:
     """Row, column, and grand totals of a citation matrix.
@@ -130,6 +130,15 @@ class MarginTotals:
     cited_totals: np.ndarray
     citing_totals: np.ndarray
     grand_total: float
+
+
+def _is_positive_count(value) -> bool:
+    """Whether ``value`` is an integer of at least 1 (a bool is not)."""
+    return (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and value >= 1
+    )
 
 
 def _check_max_size(max_size: int) -> None:
@@ -238,7 +247,7 @@ def parse_matrix_csv(
     except ValueError:
         _raise_first_non_numeric(cells)
         raise
-    return CitationMatrix._adopt(label_set, values)
+    return _adopt(CitationMatrix, label_set, values)
 
 
 def _raise_first_non_numeric(cells: list[list[str]]) -> None:
@@ -307,14 +316,14 @@ def transpose(m: CitationMatrix) -> CitationMatrix:
     # The copy keeps the memory order of m.counts, so the result is
     # column-major; a row-major copy would change the summation order of
     # the products in power_iterate and the last bits of the weights.
-    return CitationMatrix._adopt(m.journals, m.counts.T.copy(order="K"))
+    return _adopt(CitationMatrix, m.journals, m.counts.T.copy(order="K"))
 
 
 def strip_self_citations(m: CitationMatrix) -> CitationMatrix:
     """Return a copy with every diagonal (within-journal) count zeroed."""
     values = m.counts.copy()
     np.fill_diagonal(values, 0.0)
-    return CitationMatrix._adopt(m.journals, values)
+    return _adopt(CitationMatrix, m.journals, values)
 
 
 def matrix_power(m: CitationMatrix, k: int) -> np.ndarray:
@@ -329,12 +338,13 @@ def matrix_power(m: CitationMatrix, k: int) -> np.ndarray:
     Raises
     ------
     CitationDataError
-        If k < 1 (the identity matrix is not a citation matrix).
+        If k is not an integer of at least 1 (the identity matrix is not a
+        citation matrix, and a bool is not a count).
     NumericalError
         On overflow, naming the first offending cell and the power being
         formed.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not _is_positive_count(k):
         raise CitationDataError(f"matrix power requires an integer k >= 1, got {k!r}")
     result, power = m.counts.copy(), 1
     # Each further bit of k squares the result, and a set bit multiplies

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CitationDataError, NumericalError
-from .matrix import CitationMatrix, JournalSet, margins, transpose
+from .matrix import (
+    CitationMatrix,
+    JournalSet,
+    _adopt,
+    _is_positive_count,
+    margins,
+    transpose,
+)
 
 RAW = "raw"
 STOCHASTIC = "stochastic"
@@ -42,15 +49,6 @@ class NormalizedMatrix:
 
     def __post_init__(self):
         self._own(np.array(self.values, dtype=float))
-
-    @classmethod
-    def _adopt(cls, journals: JournalSet, values: np.ndarray) -> NormalizedMatrix:
-        """Wrap a float array the package has just built and nothing else
-        holds: the constructor's checks, without its defensive copy."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "journals", journals)
-        m._own(np.asarray(values, dtype=float))
-        return m
 
     def _own(self, arr: np.ndarray) -> None:
         """Check ``arr``, make it read-only and store it as the values."""
@@ -204,7 +202,7 @@ def pinski_narin_normalize(m: CitationMatrix) -> NormalizedMatrix:
             raise NumericalError(
                 f"normalized cell ({labels[i]!r}, {labels[overflowed[0]]!r}) overflowed"
             )
-    return NormalizedMatrix._adopt(m.journals, values)
+    return _adopt(NormalizedMatrix, m.journals, values)
 
 
 def _iterable_values(matrix: CitationMatrix | NormalizedMatrix) -> tuple[JournalSet, np.ndarray]:
@@ -214,15 +212,6 @@ def _iterable_values(matrix: CitationMatrix | NormalizedMatrix) -> tuple[Journal
         return matrix.journals, matrix.values
     raise CitationDataError(
         f"expected a CitationMatrix or NormalizedMatrix, got {type(matrix).__name__}"
-    )
-
-
-def _is_positive_count(value) -> bool:
-    """Whether ``value`` is an integer of at least 1 (a bool is not)."""
-    return (
-        isinstance(value, (int, np.integer))
-        and not isinstance(value, bool)
-        and value >= 1
     )
 
 

@@ -8,7 +8,7 @@ number is the shortest repr of the 12-digit value, so the three formats
 carry identical values.  The JSON writer produces the indented text of
 ``json.dumps(..., indent=2)`` itself, without building the dict.  Undefined
 (NaN) entries appear as "n/a" in tables, empty cells in CSV, and null in
-JSON; an infinite entry is an overflow, and no layout lets one through.
+JSON; an infinite entry is an overflow, and no section holds one.
 """
 
 from __future__ import annotations
@@ -59,7 +59,13 @@ class FitReport:
 class Section:
     """One titled grid: a header row, one row of ``values`` per label, and
     optional table-only footer lines.  ``values`` is a 2-D float array, or
-    an object array where a column must keep Python ints."""
+    an object array where a column must keep Python ints.
+
+    A section is well formed: ``values`` has one row per label and one
+    column per name in ``header[1:]``, labels and column names are unique,
+    and no cell is infinite (NaN marks an undefined value, but an infinite
+    one is an overflow).
+    """
 
     key: str
     title: str
@@ -67,6 +73,26 @@ class Section:
     labels: tuple[str, ...]
     values: np.ndarray
     footer: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        columns = self.header[1:]
+        shape = (len(self.labels), len(columns))
+        if self.values.shape != shape:
+            raise CitationDataError(
+                f"section {self.key!r} has values of shape {self.values.shape} "
+                f"for {shape[0]} labels and {shape[1]} columns"
+            )
+        for kind, names in (("label", self.labels), ("column name", columns)):
+            if len(set(names)) != len(names):
+                raise CitationDataError(f"section {self.key!r} repeats a {kind}")
+        # compared, not isinf: the ufunc does not take object arrays
+        infinite = (self.values == np.inf) | (self.values == -np.inf)
+        if infinite.any():
+            i, j = map(int, np.argwhere(infinite)[0])
+            raise NumericalError(
+                f"{self.key} value overflowed at row {self.labels[i]!r}, "
+                f"column {columns[j]!r}"
+            )
 
 
 #: Canonical 12-significant-digit rendering shared by all writers.
@@ -87,16 +113,10 @@ def _text_rows(sec: Section, undefined: str):
         yield [label, *_texts(row.tolist(), undefined)]
 
 
-def json_cell(value: str | int | float):
-    """The JSON value of one cell: NaN becomes null, and a float is
-    re-parsed from its 12-digit rendering."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if math.isnan(value):
-        return None
-    return float(format_number(float(value)))
+def json_cell(value: float) -> float | None:
+    """The JSON value of a reported number: NaN becomes null, and any other
+    float is re-parsed from its 12-digit rendering."""
+    return None if math.isnan(value) else float(format_number(value))
 
 
 def _grid(
@@ -108,18 +128,7 @@ def _grid(
     footer: tuple[str, ...] = (),
 ) -> Section:
     """Section with one row per journal and one column of ``values`` per
-    name in ``columns``.
-
-    NaN marks an undefined value, but an infinite one is an overflow and
-    is refused, naming the section, row and column.
-    """
-    infinite = np.isinf(values)
-    if infinite.any():
-        i, j = map(int, np.argwhere(infinite)[0])
-        raise NumericalError(
-            f"{key} value overflowed at row {journals.labels[i]!r}, "
-            f"column {columns[j]!r}"
-        )
+    name in ``columns``."""
     return Section(key, title, ("journal", *columns), journals.labels, values, footer)
 
 
@@ -245,57 +254,43 @@ def _render_csv(sections: Sequence[Section]) -> str:
     return out.getvalue()
 
 
-def _json_floats(row: list[float]) -> list[str]:
-    """JSON texts of a row of floats, ``repr(float(f"{v:.12g}"))`` each,
-    NaN as null."""
+def _json_row(row: list) -> list[str]:
+    """JSON texts of a row of cells: an int keeps its digits, a float is
+    ``repr(float(f"{v:.12g}"))`` and NaN is null."""
     texts = list(map(format_number, row))
     joined = "".join(texts)
     # A 12-digit text with a point and no exponent is already its float's
     # repr.  Each text holds at most one of each, so the counts tell
     # whether every text is one; only the others are re-parsed: integral
-    # values, exponent forms (.12g from 1e12 on, repr only from 1e16),
-    # nan and inf.
+    # values, exponent forms (.12g from 1e12 on, repr only from 1e16) and
+    # nan.
     if joined.count(".") - joined.count("e") == len(texts):
         return texts
     texts = [t if "." in t and "e" not in t else repr(float(t)) for t in texts]
+    if set(map(type, row)) != {float}:
+        texts = [
+            str(int(v)) if isinstance(v, (int, np.integer)) and not isinstance(v, bool) else t
+            for v, t in zip(row, texts)
+        ]
     if "n" in joined:
-        if "inf" in joined:
-            raise ValueError("Out of range float values are not JSON compliant")
         texts = ["null" if t == "nan" else t for t in texts]
     return texts
-
-
-def _json_cells(row: list) -> list[str]:
-    """JSON texts of a row of an object array, one :func:`json_cell` each."""
-    return [json.dumps(json_cell(value), allow_nan=False) for value in row]
-
-
-def _json_rows(sec: Section) -> dict:
-    """Row index of each label, as a dict keeps them: a repeated label has
-    its first position and its last row."""
-    return dict(zip(sec.labels, range(len(sec.values))))
 
 
 def _json_section(sec: Section, indent: str):
     """Yield ``sec`` as (label, JSON text) members of an object indented by
     ``indent``, formatting one row at a time.  With one column a row is its
-    cell, otherwise an object keyed by column name, in which a repeated name
-    also keeps its first position and its last cell."""
-    cells = _json_floats if sec.values.dtype.kind == "f" else _json_cells
-    rows = _json_rows(sec)
+    cell, otherwise an object keyed by column name."""
     names = sec.header[1:]
     if len(names) == 1:
-        for label, i in rows.items():
-            yield label, cells(sec.values[i].tolist())[0]
+        for label, row in zip(sec.labels, sec.values):
+            yield label, _json_row(row.tolist())[0]
         return
-    columns = dict(zip(names, range(sec.values.shape[1])))
     inner = indent + "    "
-    keys = [f"\n{inner}{json.dumps(name)}: " for name in columns]
-    picks = list(columns.values())
+    keys = [f"\n{inner}{json.dumps(name)}: " for name in names]
     close = f"\n{indent}  }}"
-    for label, i in rows.items():
-        texts = cells(sec.values[i].tolist())
-        body = ",".join(map(operator.add, keys, map(texts.__getitem__, picks)))
+    for label, row in zip(sec.labels, sec.values):
+        body = ",".join(map(operator.add, keys, _json_row(row.tolist())))
         yield label, f"{{{body}{close}" if body else "{}"
 
 
@@ -317,13 +312,14 @@ def _render_json(sections: Sequence[Section], meta: dict | None) -> str:
     # the text json.dumps(indent=2) writes for the dict of the rows (one
     # section) or of the sections by key, with "meta" last
     if len(sections) == 1:
-        keys = _json_rows(sections[0])
+        keys = sections[0].labels
         members = _json_section(sections[0], "")
     else:
-        keys = {sec.key: sec for sec in sections}
+        keys = [sec.key for sec in sections]
+        if len(set(keys)) != len(keys):
+            raise CitationDataError("two sections of the JSON report share a key")
         members = (
-            (key, _json_object(_json_section(sec, "  "), "  "))
-            for key, sec in keys.items()
+            (sec.key, _json_object(_json_section(sec, "  "), "  ")) for sec in sections
         )
     if meta is not None:
         if "meta" in keys:

@@ -139,10 +139,7 @@ def self_citation_sensitivity(
     else:
         max_abs = math.nan
         mean_abs = math.nan
-    with_values = np.array(with_values, dtype=float)
-    without_values = np.array(without_values, dtype=float)
-    for values in (with_values, without_values, pct):
-        values.setflags(write=False)
+    pct.setflags(write=False)
     return SensitivityReport(
         indicator=indicator,
         journals=m.journals,

@@ -269,8 +269,9 @@ class TestMatrixPower:
                 matrix_power(small, k)
 
     def test_rejects_non_integer_k(self, small):
-        with pytest.raises(CitationDataError):
-            matrix_power(small, 1.5)
+        for k in (1.5, True):
+            with pytest.raises(CitationDataError, match="integer k >= 1"):
+                matrix_power(small, k)
 
     def test_power_one_is_the_matrix(self, small):
         assert np.array_equal(matrix_power(small, 1), small.counts)

@@ -104,10 +104,35 @@ def test_infinite_cell_is_refused_naming_section_row_and_column():
         build_sections(diagnostics)
 
 
+def test_section_refuses_values_of_another_shape():
+    with pytest.raises(
+        CitationDataError,
+        match=r"section 's' has values of shape \(2, 2\) for 3 labels and 2 columns",
+    ):
+        Section("s", "S", ("journal", "a", "b"), ("A", "B", "C"), np.ones((2, 2)))
+
+
+def test_section_refuses_a_repeated_label():
+    with pytest.raises(CitationDataError, match="section 's' repeats a label"):
+        Section("s", "S", ("journal", "a"), ("A", "B", "A"), np.ones((3, 1)))
+
+
+def test_section_refuses_a_repeated_column():
+    with pytest.raises(CitationDataError, match="section 's' repeats a column name"):
+        Section("s", "S", ("journal", "a", "b", "a"), ("A", "B"), np.ones((2, 3)))
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
 @pytest.mark.parametrize("dtype", [float, object])
-def test_json_refuses_an_infinite_cell_of_a_hand_built_section(value, dtype):
-    values = np.array([[1.0, value]], dtype=dtype)
-    sec = Section("s", "S", ("journal", "a", "b"), ("A",), values)
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        render_sections([sec], "json")
+def test_section_refuses_an_infinite_cell(value, dtype):
+    values = np.array([[1.0, 2.0], [3, value]], dtype=dtype)
+    with pytest.raises(NumericalError, match="s value overflowed at row 'B', column 'b'"):
+        Section("s", "S", ("journal", "a", "b"), ("A", "B"), values)
+
+
+def test_multi_section_json_refuses_a_repeated_key(weights):
+    sections = (*weights, *weights)
+    with pytest.raises(CitationDataError, match="two sections of the JSON report share a key"):
+        render_sections(sections, "json")
+    # a CSV report marks each block, so it still shows both
+    assert render_sections(sections, "csv").count("# iw\n") == 2

@@ -4,7 +4,8 @@ The writers format one whole row of a section's array per step; the
 reference below keeps the tuple-of-cells rows and formats each cell
 through an isinstance ladder.  Both must give the same bytes in every
 format, or, where a single-section JSON report has a row named "meta",
-the writer must refuse instead of dropping that row.
+the writer must refuse instead of dropping that row.  Labels and column
+names are drawn unique within a section, as ``Section`` requires.
 """
 
 import csv
@@ -51,8 +52,9 @@ FLOATS = st.one_of(
     st.floats(min_value=0.0, max_value=1.0),
 )
 # an object column holds ints beside floats, as the fit statistics do; the
-# only int reported is a count, so it stays below 10**12
-CELLS = st.one_of(FLOATS, st.integers(-(10**12) + 1, 10**12 - 1))
+# only int reported is a count, so it stays below 10**12.  A bool is not a
+# count: it is written as the float it equals.
+CELLS = st.one_of(FLOATS, st.integers(-(10**12) + 1, 10**12 - 1), st.booleans())
 LABELS = ("meta", "nan", "Acta, Series A", 'The "Review"', "a\nb", "Ünï", "日本", "")
 TEXT = st.one_of(
     st.sampled_from(LABELS),
@@ -64,8 +66,8 @@ TEXT = st.one_of(
 def sections(draw, key):
     n = draw(st.integers(1, 4))
     k = draw(st.integers(1, 3))
-    labels = tuple(draw(st.lists(TEXT, min_size=n, max_size=n)))
-    header = ("journal", *draw(st.lists(TEXT, min_size=k, max_size=k)))
+    labels = tuple(draw(st.lists(TEXT, min_size=n, max_size=n, unique=True)))
+    header = ("journal", *draw(st.lists(TEXT, min_size=k, max_size=k, unique=True)))
     if draw(st.booleans()):
         cells = [draw(st.lists(CELLS, min_size=k, max_size=k)) for _ in range(n)]
         values = np.array(cells, dtype=object)
