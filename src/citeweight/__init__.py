@@ -11,13 +11,11 @@ from .matrix import (
     margins,
     matrix_power,
     parse_matrix_csv,
-    serialize_matrix_csv,
     strip_self_citations,
     transpose,
 )
 from .fixtures import FIXTURES, load_fixture, price_matrix
 from .metrics import (
-    IterationStep,
     IterationTrace,
     NormalizedMatrix,
     PowerWeaknessResult,
@@ -51,13 +49,11 @@ __all__ = [
     "margins",
     "matrix_power",
     "parse_matrix_csv",
-    "serialize_matrix_csv",
     "strip_self_citations",
     "transpose",
     "FIXTURES",
     "load_fixture",
     "price_matrix",
-    "IterationStep",
     "IterationTrace",
     "NormalizedMatrix",
     "PowerWeaknessResult",

@@ -2,8 +2,8 @@
 
 A citation matrix is an n-by-n grid of non-negative counts whose cell
 (i, j) holds the citations journal i received from journal j: rows count
-the cited side, columns the citing side.  Two interchange formats are
-supported:
+the cited side, columns the citing side.  Two CSV input formats are
+read:
 
 * headerless -- n lines of n comma-separated numeric fields, no heading
   line; journals get synthetic labels J1..Jn;
@@ -11,15 +11,13 @@ supported:
   labels, and both label axes must agree exactly.
 
 CRLF, LF and bare CR line endings and a leading byte-order mark are
-accepted on input; output always uses LF.  All counts are stored as
-binary64 reals so that pre-normalized matrices round-trip through the same
-code path as raw integer counts.
+accepted.  All counts are stored as binary64 reals so that pre-normalized
+matrices go through the same code path as raw integer counts.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import re
 from dataclasses import dataclass
@@ -121,7 +119,7 @@ def _adopt(cls, journals: JournalSet, values: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class MarginTotals:
-    """Row, column, and grand totals of a citation matrix.
+    """Row and column totals of a citation matrix.
 
     ``cited_totals[i]`` sums row i (citations received by journal i);
     ``citing_totals[j]`` sums column j (references made by journal j).
@@ -129,7 +127,6 @@ class MarginTotals:
 
     cited_totals: np.ndarray
     citing_totals: np.ndarray
-    grand_total: float
 
 
 def _is_positive_count(value) -> bool:
@@ -179,9 +176,9 @@ def parse_matrix_csv(
     Raises
     ------
     CitationDataError
-        For ragged or non-square grids, non-numeric or negative cells,
-        duplicate or mismatched labels, sizes outside [2, max_size], and a
-        ``max_size`` below 2.
+        For text the csv module cannot read, ragged or non-square grids,
+        non-numeric or negative cells, duplicate or mismatched labels, sizes
+        outside [2, max_size], and a ``max_size`` below 2.
     """
     _check_max_size(max_size)
     text = _decode(data)
@@ -192,15 +189,20 @@ def parse_matrix_csv(
     # The reader gets one line at a time, with its ending, so no second copy
     # of the text is held; a leading byte-order mark is skipped.
     lines = _LINE.finditer(text, 1 if text.startswith("\ufeff") else 0)
-    for row in csv.reader(map(re.Match.group, lines)):
-        if not row:
-            continue
-        if len(rows) == row_cap:
-            raise CitationDataError(
-                f"matrix has more than {max_size} rows, above the max_size limit "
-                "(raise max_size to allow it)"
-            )
-        rows.append(row)
+    reader = csv.reader(map(re.Match.group, lines))
+    try:
+        for row in reader:
+            if not row:
+                continue
+            if len(rows) == row_cap:
+                raise CitationDataError(
+                    f"matrix has more than {max_size} rows, above the max_size limit "
+                    "(raise max_size to allow it)"
+                )
+            rows.append(row)
+    except csv.Error as exc:
+        # such as a field longer than csv.field_size_limit()
+        raise CitationDataError(f"malformed CSV at line {reader.line_num}: {exc}") from exc
     if not rows:
         raise CitationDataError("input contains no data rows")
 
@@ -262,29 +264,8 @@ def _raise_first_non_numeric(cells: list[list[str]]) -> None:
                 ) from exc
 
 
-def serialize_matrix_csv(m: CitationMatrix, labeled: bool = False) -> str:
-    """Render a matrix as CSV text that parses back to an equal matrix.
-
-    Integer-valued counts are written without a decimal point; other
-    values use the shortest round-tripping decimal form.  Lines end with
-    LF and the text ends with a trailing newline.
-    """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    if labeled:
-        writer.writerow(["journal", *m.journals])
-    for i, label in enumerate(m.journals):
-        fields = [_format_count(v) for v in m.counts[i]]
-        writer.writerow([label, *fields] if labeled else fields)
-    return out.getvalue()
-
-
-def _format_count(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
-
-
 def margins(m: CitationMatrix) -> MarginTotals:
-    """Row sums, column sums, and the grand total of a matrix.
+    """Row sums and column sums of a matrix.
 
     Sums are exact for integer-valued inputs.
 
@@ -297,18 +278,15 @@ def margins(m: CitationMatrix) -> MarginTotals:
     with np.errstate(over="ignore"):
         cited = m.counts.sum(axis=1)
         citing = m.counts.sum(axis=0)
-        grand = float(m.counts.sum())
     for side, totals in (("cited", cited), ("citing", citing)):
         bad = np.flatnonzero(~np.isfinite(totals))
         if bad.size:
             raise NumericalError(
                 f"{side} total of journal {m.journals.labels[bad[0]]!r} overflowed"
             )
-    if not np.isfinite(grand):
-        raise NumericalError("grand total of the citation matrix overflowed")
     cited.setflags(write=False)
     citing.setflags(write=False)
-    return MarginTotals(cited, citing, grand)
+    return MarginTotals(cited, citing)
 
 
 def transpose(m: CitationMatrix) -> CitationMatrix:

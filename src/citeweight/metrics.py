@@ -24,12 +24,6 @@ from .matrix import (
     transpose,
 )
 
-RAW = "raw"
-STOCHASTIC = "stochastic"
-
-#: Sum-to-one slack accepted for stochastic-tagged vectors.
-STOCHASTIC_TOL = 1e-12
-
 #: L1 convergence threshold and cycle budget of tolerance-mode iteration.
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_MAX_CYCLES = 100
@@ -70,15 +64,13 @@ class NormalizedMatrix:
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    """Per-journal non-negative weights with a normalization tag.
-
-    ``stochastic`` vectors sum to 1 (within ``STOCHASTIC_TOL``); ``raw``
-    vectors carry counts or ratios on their natural scale.
+    """Per-journal finite non-negative weights: the stochastic vector of an
+    iteration, which sums to 1, or a power-weakness ratio on its natural
+    scale.
     """
 
     journals: JournalSet
     values: np.ndarray
-    kind: str = RAW
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=float)
@@ -89,10 +81,6 @@ class WeightVector:
             )
         if not np.isfinite(arr).all() or (arr < 0).any():
             raise CitationDataError("weights must be finite and non-negative")
-        if self.kind not in (RAW, STOCHASTIC):
-            raise CitationDataError(f"unknown weight kind {self.kind!r}")
-        if self.kind == STOCHASTIC and abs(arr.sum() - 1.0) > STOCHASTIC_TOL:
-            raise CitationDataError(f"stochastic vector sums to {arr.sum()!r}, not 1")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -104,9 +92,9 @@ class WeightVector:
 class IterationStep:
     """One cycle of the recursion: the matrix-vector product before
     renormalization, the stochastic vector after it, and the L1 distance
-    from the previous stochastic vector."""
+    from the previous stochastic vector.  Cycle k is ``steps[k - 1]`` of
+    its trace."""
 
-    cycle: int
     unnormalized: np.ndarray
     stochastic: np.ndarray
     delta: float
@@ -124,7 +112,7 @@ class IterationTrace:
     @property
     def final(self) -> WeightVector:
         """Stochastic weight vector after the last cycle."""
-        return WeightVector(self.journals, self.steps[-1].stochastic, STOCHASTIC)
+        return WeightVector(self.journals, self.steps[-1].stochastic)
 
     @property
     def deltas(self) -> tuple[float, ...]:
@@ -152,8 +140,7 @@ class SelfCitationDiagnostics:
 
     For each journal: ``self_citations`` is the diagonal count,
     ``cited_by_others`` and ``citing_others`` the off-diagonal margins.
-    Rates and ratios with zero denominators are NaN; use
-    ``ratio_without_defined`` to mask the undefined entries.
+    Rates and ratios with zero denominators are NaN.
     """
 
     journals: JournalSet
@@ -164,10 +151,6 @@ class SelfCitationDiagnostics:
     self_citing_rate: np.ndarray
     cited_citing_ratio_with: np.ndarray
     cited_citing_ratio_without: np.ndarray
-
-    @property
-    def ratio_without_defined(self) -> np.ndarray:
-        return ~np.isnan(self.cited_citing_ratio_without)
 
 
 def pinski_narin_normalize(m: CitationMatrix) -> NormalizedMatrix:
@@ -261,8 +244,9 @@ def power_iterate(
     Raises
     ------
     NumericalError
-        If an iterate overflows to a non-finite value, or its mass
-        vanishes so that renormalization is impossible.
+        If an iterate or its mass (the sum that renormalizes it) overflows
+        to a non-finite value, or the mass vanishes so that renormalization
+        is impossible.
     """
     journals, values = _iterable_values(matrix)
     check_iteration_args(cycles, tolerance, max_cycles)
@@ -276,9 +260,10 @@ def power_iterate(
         cycle += 1
         with np.errstate(over="ignore", invalid="ignore"):
             product = values @ vector
-        if not np.isfinite(product).all():
+            mass = product.sum()
+        # the sum is not finite when a cell is not, or when the cells overflow it
+        if not np.isfinite(mass):
             raise NumericalError(f"weight vector became non-finite at cycle {cycle}")
-        mass = product.sum()
         if mass <= 0.0:
             raise NumericalError(
                 f"weight vector vanished at cycle {cycle}; cannot renormalize"
@@ -287,7 +272,7 @@ def power_iterate(
         delta = float(np.abs(vector - previous).sum())
         product.setflags(write=False)
         vector.setflags(write=False)
-        steps.append(IterationStep(cycle, product, vector, delta))
+        steps.append(IterationStep(product, vector, delta))
         previous = vector
         if cycles is not None:
             if cycle >= cycles:
@@ -375,7 +360,7 @@ def power_weakness_ratio(m: CitationMatrix, cycles: int) -> PowerWeaknessResult:
             f"weakness weight of journal {names} is zero after {cycles} cycles; "
             "power-weakness ratio undefined"
         )
-    ratio = WeightVector(m.journals, power.values / weakness.values, RAW)
+    ratio = WeightVector(m.journals, power.values / weakness.values)
     return PowerWeaknessResult(power, weakness, ratio, int(cycles))
 
 

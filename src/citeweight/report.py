@@ -3,12 +3,13 @@
 Every result is first turned into one or more sections (row labels, a
 header and one 2-D array) by the one layout of its type, then the chosen
 writer streams the sections one row at a time into the report text.
-Numbers are written with 12 significant digits in every format; a JSON
-number is the shortest repr of the 12-digit value, so the three formats
-carry identical values.  The JSON writer produces the indented text of
-``json.dumps(..., indent=2)`` itself, without building the dict.  Undefined
-(NaN) entries appear as "n/a" in tables, empty cells in CSV, and null in
-JSON; an infinite entry is an overflow, and no section holds one.
+Floats are written with 12 significant digits in every format; a JSON
+number is the shortest repr of the 12-digit value, and an int cell keeps
+all its digits, so the three formats carry identical values.  The JSON
+writer produces the indented text of ``json.dumps(..., indent=2)``
+itself, without building the dict.  Undefined (NaN) entries appear as
+"n/a" in tables, empty cells in CSV, and null in JSON; an infinite entry
+is an overflow, and no section holds one.
 """
 
 from __future__ import annotations
@@ -107,10 +108,21 @@ def _texts(values, undefined: str) -> list[str]:
     return texts
 
 
+def _is_int(value) -> bool:
+    """Whether a cell is an int, written with all its digits (a bool is not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _text_rows(sec: Section, undefined: str):
     """Yield each row of ``sec`` as its label and cell texts, one at a time."""
+    # only an object array can hold ints
+    exact = sec.values.dtype == object
     for label, row in zip(sec.labels, sec.values):
-        yield [label, *_texts(row.tolist(), undefined)]
+        cells = row.tolist()
+        texts = _texts(cells, undefined)
+        if exact:
+            texts = [str(int(v)) if _is_int(v) else t for v, t in zip(cells, texts)]
+        yield [label, *texts]
 
 
 def json_cell(value: float) -> float | None:
@@ -268,10 +280,7 @@ def _json_row(row: list) -> list[str]:
         return texts
     texts = [t if "." in t and "e" not in t else repr(float(t)) for t in texts]
     if set(map(type, row)) != {float}:
-        texts = [
-            str(int(v)) if isinstance(v, (int, np.integer)) and not isinstance(v, bool) else t
-            for v, t in zip(row, texts)
-        ]
+        texts = [str(int(v)) if _is_int(v) else t for v, t in zip(row, texts)]
     if "n" in joined:
         texts = ["null" if t == "nan" else t for t in texts]
     return texts

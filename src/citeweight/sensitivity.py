@@ -54,15 +54,14 @@ class SensitivityReport:
 class ConvergenceProfile:
     """Cycle-by-cycle contraction record of an iteration trace.
 
-    ``decay_ratios[i]`` is deltas[k]/deltas[k-1] for the cycle pair ending
-    at ``ratio_cycles[i]``; ``geometric`` reports whether every ratio from
-    cycle 3 on stays below 1, the signature of clean geometric decay
+    ``decay_ratios[i]`` is ``deltas[i + 1] / deltas[i]``, the ratio of the
+    pair ending at cycle i + 2; ``geometric`` reports whether every ratio
+    from cycle 3 on stays below 1, the signature of clean geometric decay
     toward the dominant eigenvector.
     """
 
     deltas: tuple[float, ...]
     decay_ratios: tuple[float, ...]
-    ratio_cycles: tuple[int, ...]
     geometric: bool
 
 
@@ -168,15 +167,13 @@ def convergence_profile(trace: IterationTrace) -> ConvergenceProfile:
         raise CitationDataError(
             f"profile needs at least {MIN_PROFILE_CYCLES} cycles, trace has {len(deltas)}"
         )
-    ratios: list[float] = []
-    ratio_cycles: list[int] = []
-    for k in range(1, len(deltas)):
-        prev = deltas[k - 1]
-        ratios.append(deltas[k] / prev if prev > 0 else math.nan)
-        ratio_cycles.append(trace.steps[k].cycle)
-    judged = [r for c, r in zip(ratio_cycles, ratios) if c >= 3 and not math.isnan(r)]
-    geometric = all(r < 1.0 for r in judged)
-    return ConvergenceProfile(deltas, tuple(ratios), tuple(ratio_cycles), geometric)
+    ratios = tuple(
+        later / earlier if earlier > 0 else math.nan
+        for earlier, later in zip(deltas, deltas[1:])
+    )
+    # ratios[0] ends at cycle 2, so the judged ones start at ratios[1]
+    geometric = all(r < 1.0 for r in ratios[1:] if not math.isnan(r))
+    return ConvergenceProfile(deltas, ratios, geometric)
 
 
 def linear_fit(x: np.ndarray, y: np.ndarray) -> LinearFit:

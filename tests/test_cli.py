@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import golden_values as gv
-from citeweight import __version__, price_matrix, serialize_matrix_csv
+from citeweight import __version__, price_matrix
 from citeweight.cli import main
+from conftest import matrix_csv
 
 
 def run(capsys, *args):
@@ -31,14 +32,14 @@ def run_process(args, stdin_text=None):
 @pytest.fixture
 def price_csv(tmp_path):
     path = tmp_path / "counts.csv"
-    path.write_text(serialize_matrix_csv(price_matrix()), encoding="utf-8")
+    path.write_text(matrix_csv(price_matrix()), encoding="utf-8")
     return str(path)
 
 
 @pytest.fixture
 def price_labeled_csv(tmp_path):
     path = tmp_path / "labeled.csv"
-    path.write_text(serialize_matrix_csv(price_matrix(), labeled=True), encoding="utf-8")
+    path.write_text(matrix_csv(price_matrix(), labeled=True), encoding="utf-8")
     return str(path)
 
 
@@ -602,6 +603,14 @@ EXIT_CODE_TABLE = {
     "overflowed totals": ("1e308,1e308\n1e308,1e308\n", [], "333333333"),
     # pwr and raw_cited never divide 1e308 by 1e-300; their results are finite
     "overflowed quotient": ("0,1e308\n1e-300,1\n", [], "303333033"),
+    # every total is finite, but not their sum: pwr's mass overflows at cycle
+    # 1, the power overflows, (without - with) * 100 overflows for raw_cited,
+    # and fit has equal weights, so its slope is undefined
+    "overflowed sum of totals": ("1e308,1e307\n1e307,1e308\n", [], "030300303"),
+    # as above, and the stripped matrix makes no references (iw, fit)
+    "overflowed mass": ("1e308,0\n0,1e308\n", [], "030303303"),
+    # longer than the csv module's field_size_limit
+    "field of 200000 digits": ("1" * 200_000 + ",1\n1,1\n", [], "222222222"),
     "above max size": ("1,1,1\n1,1,1\n1,1,1\n", ["--max-size", "2"], "222222222"),
     # no input file: the bundled fixture is read
     "max size below 2, fixture": (None, ["--fixture", "price", "--max-size", "1"], "222222222"),

@@ -16,10 +16,10 @@ from citeweight import (
     matrix_power,
     parse_matrix_csv,
     price_matrix,
-    serialize_matrix_csv,
     strip_self_citations,
     transpose,
 )
+from conftest import matrix_csv
 
 
 class TestJournalSet:
@@ -103,14 +103,19 @@ class TestParse:
             parse_matrix_csv("\ufeff\ufeff1,2\n3,4\n")
 
     def test_labeled_round_trip(self, price):
-        text = serialize_matrix_csv(price, labeled=True)
+        text = matrix_csv(price, labeled=True)
         back = parse_matrix_csv(text, labeled=True)
         assert back.journals == price.journals
         assert np.array_equal(back.counts, price.counts)
 
     def test_headerless_round_trip(self, price):
-        back = parse_matrix_csv(serialize_matrix_csv(price))
+        back = parse_matrix_csv(matrix_csv(price))
         assert np.array_equal(back.counts, price.counts)
+
+    def test_labels_with_commas_are_quoted(self):
+        text = 'journal,"X, Y",B\n"X, Y",1,2\nB,3,4\n'
+        back = parse_matrix_csv(text, labeled=True)
+        assert back.journals.labels == ("X, Y", "B")
 
     def test_labeled_header_and_first_column_must_agree(self):
         text = "journal,A,B\nA,1,2\nC,3,4\n"
@@ -166,7 +171,8 @@ class TestParse:
                 read.append(row)
                 yield row
 
-        counting_csv = types.SimpleNamespace(reader=counting_reader)
+        # the parser also names csv.Error, to turn a reader error into a data error
+        counting_csv = types.SimpleNamespace(reader=counting_reader, Error=csv.Error)
         monkeypatch.setattr(citeweight.matrix, "csv", counting_csv)
         return read
 
@@ -194,33 +200,12 @@ class TestParse:
         assert m.counts[1, 1] == 4.25
 
 
-class TestSerialize:
-    def test_headerless_output(self):
-        m = CitationMatrix(JournalSet(("A", "B")), np.array([[1, 2], [3, 4]]))
-        assert serialize_matrix_csv(m) == "1,2\n3,4\n"
-
-    def test_integral_floats_written_as_integers(self):
-        m = CitationMatrix(JournalSet(("A", "B")), np.array([[1.0, 2.5], [3.0, 4.0]]))
-        assert serialize_matrix_csv(m) == "1,2.5\n3,4\n"
-
-    def test_labeled_header(self):
-        m = CitationMatrix(JournalSet(("A", "B")), np.array([[1, 2], [3, 4]]))
-        assert serialize_matrix_csv(m, labeled=True) == "journal,A,B\nA,1,2\nB,3,4\n"
-
-    def test_labels_with_commas_are_quoted(self):
-        m = CitationMatrix(JournalSet(("X, Y", "B")), np.array([[1, 2], [3, 4]]))
-        text = serialize_matrix_csv(m, labeled=True)
-        assert '"X, Y"' in text
-        back = parse_matrix_csv(text, labeled=True)
-        assert back.journals.labels == ("X, Y", "B")
-
-
 class TestMargins:
     def test_embedded_dataset_totals(self, price):
         totals = margins(price)
         assert totals.cited_totals.tolist() == list(gv.CITED_TOTALS)
         assert totals.citing_totals.tolist() == list(gv.CITING_TOTALS)
-        assert totals.grand_total == gv.GRAND_TOTAL
+        assert totals.cited_totals.sum() == gv.GRAND_TOTAL
 
     def test_overflowed_total_is_named(self):
         m = CitationMatrix(JournalSet(("A", "B")), np.full((2, 2), 1e308))
@@ -333,8 +318,3 @@ def test_strip_and_transpose_commute(price):
     one_way = strip_self_citations(transpose(price))
     other_way = transpose(strip_self_citations(price))
     assert np.array_equal(one_way.counts, other_way.counts)
-
-
-def test_serialize_zero_matrix():
-    m = CitationMatrix(JournalSet(("A", "B")), np.zeros((2, 2)))
-    assert serialize_matrix_csv(m) == "0,0\n0,0\n"

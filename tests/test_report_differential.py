@@ -51,10 +51,11 @@ FLOATS = st.one_of(
     st.integers(10**11, 10**17).map(float),
     st.floats(min_value=0.0, max_value=1.0),
 )
-# an object column holds ints beside floats, as the fit statistics do; the
-# only int reported is a count, so it stays below 10**12.  A bool is not a
-# count: it is written as the float it equals.
-CELLS = st.one_of(FLOATS, st.integers(-(10**12) + 1, 10**12 - 1), st.booleans())
+# an object column holds ints beside floats, as the fit statistics do.  An
+# int keeps all its digits in every format, also from 10**12 on, where its
+# 12-digit text would turn exponential.  A bool is not a count: it is
+# written as the float it equals.
+CELLS = st.one_of(FLOATS, st.integers(-(10**20), 10**20), st.booleans())
 LABELS = ("meta", "nan", "Acta, Series A", 'The "Review"', "a\nb", "Ünï", "日本", "")
 TEXT = st.one_of(
     st.sampled_from(LABELS),

@@ -126,11 +126,19 @@ class TestConvergenceProfile:
             assert later < earlier
         assert profile.geometric
 
-    def test_ratio_cycles_align(self, price):
+    def test_one_ratio_per_cycle_pair(self, price):
         trace = power_iterate(pinski_narin_normalize(price), cycles=6)
         profile = convergence_profile(trace)
-        assert profile.ratio_cycles == (2, 3, 4, 5, 6)
         assert len(profile.decay_ratios) == 5
+
+    def test_ratio_ending_at_cycle_two_is_not_judged(self):
+        # the delta rises from cycle 1 to 2, then decays
+        counts = np.array([[0, 0, 0], [0, 1, 1], [3, 1, 0]])
+        m = CitationMatrix(JournalSet(("A", "B", "C")), counts)
+        profile = convergence_profile(power_iterate(pinski_narin_normalize(m), cycles=5))
+        assert profile.decay_ratios[0] > 1
+        assert all(r < 1 for r in profile.decay_ratios[1:])
+        assert profile.geometric
 
     def test_late_ratio_approaches_frozen_value(self, price):
         trace = power_iterate(pinski_narin_normalize(price), cycles=10)
