@@ -83,29 +83,36 @@ class CitationMatrix:
 
     def _own(self, arr: np.ndarray) -> None:
         """Check ``arr``, make it read-only and store it as the counts."""
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise CitationDataError(f"matrix must be square, got shape {arr.shape}")
-        n = arr.shape[0]
-        if n < 2:
-            raise CitationDataError(f"matrix must be at least 2x2, got {n}x{n}")
-        if len(self.journals) != n:
-            raise CitationDataError(
-                f"{len(self.journals)} journal labels for a {n}x{n} matrix"
-            )
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            raise CitationDataError(f"cell ({i}, {j}) is not finite")
-        neg = arr < 0
-        if neg.any():
-            i, j = map(int, np.argwhere(neg)[0])
-            raise CitationDataError(f"cell ({i}, {j}) is negative: {arr[i, j]:g}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
+        if arr.shape == (1, 1):
+            raise CitationDataError("matrix must be at least 2x2, got 1x1")
+        object.__setattr__(self, "counts", _checked(self.journals, arr, 2))
 
     @property
     def n(self) -> int:
         return self.counts.shape[0]
+
+
+def _checked(journals: JournalSet, arr: np.ndarray, ndim: int) -> np.ndarray:
+    """``arr``, made read-only, once it has ``ndim`` axes of one entry per
+    journal and every cell is finite and non-negative.  The first bad cell
+    in row-major order is named."""
+    n = len(journals)
+    if arr.shape != (n,) * ndim:
+        want = f"a square {n}x{n} matrix" if ndim == 2 else f"a vector of {n} values"
+        raise CitationDataError(f"{n} journal labels need {want}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise CitationDataError(f"cell {_first_cell(~np.isfinite(arr))} is not finite")
+    negative = arr < 0
+    if negative.any():
+        # boolean indexing is row-major too, so this is the named cell
+        value = arr[negative][0]
+        raise CitationDataError(f"cell {_first_cell(negative)} is negative: {value:g}")
+    arr.setflags(write=False)
+    return arr
+
+
+def _first_cell(mask: np.ndarray) -> str:
+    return "(" + ", ".join(map(str, np.argwhere(mask)[0])) + ")"
 
 
 def _adopt(cls, journals: JournalSet, values: np.ndarray):
@@ -129,13 +136,13 @@ class MarginTotals:
     citing_totals: np.ndarray
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer (a bool is not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _is_positive_count(value) -> bool:
-    """Whether ``value`` is an integer of at least 1 (a bool is not)."""
-    return (
-        isinstance(value, (int, np.integer))
-        and not isinstance(value, bool)
-        and value >= 1
-    )
+    return _is_int(value) and value >= 1
 
 
 def _check_max_size(max_size: int) -> None:
@@ -206,15 +213,14 @@ def parse_matrix_csv(
     if not rows:
         raise CitationDataError("input contains no data rows")
 
+    width = len(rows[0])
+    for lineno, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise CitationDataError(
+                f"ragged row: line {lineno} has {len(row)} fields, expected {width}"
+            )
     if labeled:
-        header = rows[0]
-        width = len(header)
-        for lineno, row in enumerate(rows[1:], start=2):
-            if len(row) != width:
-                raise CitationDataError(
-                    f"ragged row: line {lineno} has {len(row)} fields, expected {width}"
-                )
-        column_labels = tuple(header[1:])
+        column_labels = tuple(rows[0][1:])
         row_labels = tuple(row[0] for row in rows[1:])
         if row_labels != column_labels:
             raise CitationDataError(
@@ -225,12 +231,6 @@ def parse_matrix_csv(
         cells = [row[1:] for row in rows[1:]]
         n = len(cells)
     else:
-        width = len(rows[0])
-        for lineno, row in enumerate(rows, start=1):
-            if len(row) != width:
-                raise CitationDataError(
-                    f"ragged row: line {lineno} has {len(row)} fields, expected {width}"
-                )
         n = len(rows)
         if width != n:
             raise CitationDataError(f"matrix must be square, got {n} rows x {width} columns")

@@ -19,6 +19,7 @@ from .matrix import (
     CitationMatrix,
     JournalSet,
     _adopt,
+    _checked,
     _is_positive_count,
     margins,
     transpose,
@@ -35,7 +36,8 @@ class NormalizedMatrix:
     citing (reference) total.
 
     Row i sums to journal i's cited-to-citing ratio, and scaling the
-    source counts by a positive constant leaves the values unchanged.
+    source counts by a positive constant leaves the values unchanged.  The
+    constructor names the first non-finite or negative cell.
     """
 
     journals: JournalSet
@@ -46,16 +48,7 @@ class NormalizedMatrix:
 
     def _own(self, arr: np.ndarray) -> None:
         """Check ``arr``, make it read-only and store it as the values."""
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise CitationDataError(f"matrix must be square, got shape {arr.shape}")
-        if len(self.journals) != arr.shape[0]:
-            raise CitationDataError(
-                f"{len(self.journals)} journal labels for a {arr.shape[0]}x{arr.shape[1]} matrix"
-            )
-        if not np.isfinite(arr).all() or (arr < 0).any():
-            raise CitationDataError("normalized values must be finite and non-negative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _checked(self.journals, arr, 2))
 
     @property
     def n(self) -> int:
@@ -66,22 +59,14 @@ class NormalizedMatrix:
 class WeightVector:
     """Per-journal finite non-negative weights: the stochastic vector of an
     iteration, which sums to 1, or a power-weakness ratio on its natural
-    scale.
+    scale.  The constructor names the first non-finite or negative cell.
     """
 
     journals: JournalSet
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 1 or arr.shape[0] != len(self.journals):
-            raise CitationDataError(
-                f"weight vector of length {arr.shape} does not match "
-                f"{len(self.journals)} journals"
-            )
-        if not np.isfinite(arr).all() or (arr < 0).any():
-            raise CitationDataError("weights must be finite and non-negative")
-        arr.setflags(write=False)
+        arr = _checked(self.journals, np.array(self.values, dtype=float), 1)
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -102,12 +87,16 @@ class IterationStep:
 
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
-    """Full record of a power iteration run."""
+    """Full record of a power iteration run, one step per cycle:
+    ``iterations_used`` is ``len(steps)``."""
 
     journals: JournalSet
     steps: tuple[IterationStep, ...]
     converged: bool
-    iterations_used: int
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.steps)
 
     @property
     def final(self) -> WeightVector:
@@ -255,9 +244,7 @@ def power_iterate(
     vector = np.ones(n)
     previous = np.full(n, 1.0 / n)
     steps: list[IterationStep] = []
-    cycle = 0
-    while True:
-        cycle += 1
+    for cycle in range(1, (cycles or max_cycles) + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             product = values @ vector
             mass = product.sum()
@@ -274,13 +261,10 @@ def power_iterate(
         vector.setflags(write=False)
         steps.append(IterationStep(product, vector, delta))
         previous = vector
-        if cycles is not None:
-            if cycle >= cycles:
-                break
-        elif delta <= tolerance or cycle >= max_cycles:
+        if cycles is None and delta <= tolerance:
             break
     converged = steps[-1].delta <= tolerance
-    return IterationTrace(journals, tuple(steps), converged, len(steps))
+    return IterationTrace(journals, tuple(steps), converged)
 
 
 def influence_trace(
@@ -349,7 +333,7 @@ def power_weakness_ratio(m: CitationMatrix, cycles: int) -> PowerWeaknessResult:
     ------
     NumericalError
         If some journal's weakness weight is zero, naming it; the ratio is
-        undefined there.
+        undefined there.  Also if a ratio overflows, naming the journal.
     """
     power = power_iterate(m, cycles=cycles).final
     weakness = power_iterate(transpose(m), cycles=cycles).final
@@ -360,8 +344,12 @@ def power_weakness_ratio(m: CitationMatrix, cycles: int) -> PowerWeaknessResult:
             f"weakness weight of journal {names} is zero after {cycles} cycles; "
             "power-weakness ratio undefined"
         )
-    ratio = WeightVector(m.journals, power.values / weakness.values)
-    return PowerWeaknessResult(power, weakness, ratio, int(cycles))
+    with np.errstate(over="ignore"):
+        ratio = power.values / weakness.values
+    overflowed = [m.journals.labels[i] for i in np.flatnonzero(np.isinf(ratio))]
+    if overflowed:
+        raise NumericalError(f"power-weakness ratio of journal {overflowed[0]!r} overflowed")
+    return PowerWeaknessResult(power, weakness, WeightVector(m.journals, ratio), int(cycles))
 
 
 def self_citation_diagnostics(m: CitationMatrix) -> SelfCitationDiagnostics:

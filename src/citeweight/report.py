@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CitationDataError, NumericalError
-from .matrix import JournalSet
+from .matrix import JournalSet, _is_int
 from .metrics import (
     IterationTrace,
     NormalizedMatrix,
@@ -106,11 +106,6 @@ def _texts(values, undefined: str) -> list[str]:
     if "nan" in texts:
         texts = [undefined if text == "nan" else text for text in texts]
     return texts
-
-
-def _is_int(value) -> bool:
-    """Whether a cell is an int, written with all its digits (a bool is not)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _text_rows(sec: Section, undefined: str):

@@ -19,6 +19,7 @@ from .metrics import (
     DEFAULT_MAX_CYCLES,
     DEFAULT_TOLERANCE,
     IterationTrace,
+    _safe_divide,
     check_iteration_args,
     influence_weights,
     self_citation_diagnostics,
@@ -124,20 +125,18 @@ def self_citation_sensitivity(
             f"unknown indicator {indicator!r}; choose one of {', '.join(INDICATORS)}"
         )
 
-    pct = np.full(len(m.journals), np.nan)
-    defined = ~np.isnan(with_values) & ~np.isnan(without_values) & (with_values != 0)
     # an overflowed change stays inf; the report layer refuses to print it
     with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(
-            (without_values - with_values) * 100.0, with_values, out=pct, where=defined
-        )
-    finite = pct[~np.isnan(pct)]
-    if finite.size:
-        max_abs = float(np.abs(finite).max())
-        mean_abs = float(np.abs(finite).mean())
+        change = without_values - with_values
+        pct = _safe_divide(change * 100.0, with_values)
+        # change * 100 can overflow where the percent change is finite
+        big = np.isinf(pct)
+        pct[big] = change[big] / with_values[big] * 100.0
+    defined = np.abs(pct[~np.isnan(pct)])
+    if defined.size:
+        max_abs, mean_abs = float(defined.max()), float(defined.mean())
     else:
-        max_abs = math.nan
-        mean_abs = math.nan
+        max_abs = mean_abs = math.nan
     pct.setflags(write=False)
     return SensitivityReport(
         indicator=indicator,

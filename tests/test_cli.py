@@ -604,11 +604,11 @@ EXIT_CODE_TABLE = {
     # pwr and raw_cited never divide 1e308 by 1e-300; their results are finite
     "overflowed quotient": ("0,1e308\n1e-300,1\n", [], "303333033"),
     # every total is finite, but not their sum: pwr's mass overflows at cycle
-    # 1, the power overflows, (without - with) * 100 overflows for raw_cited,
-    # and fit has equal weights, so its slope is undefined
-    "overflowed sum of totals": ("1e308,1e307\n1e307,1e308\n", [], "030300303"),
+    # 1, the power overflows, and fit has equal weights, so its slope is
+    # undefined
+    "overflowed sum of totals": ("1e308,1e307\n1e307,1e308\n", [], "030300003"),
     # as above, and the stripped matrix makes no references (iw, fit)
-    "overflowed mass": ("1e308,0\n0,1e308\n", [], "030303303"),
+    "overflowed mass": ("1e308,0\n0,1e308\n", [], "030303003"),
     # longer than the csv module's field_size_limit
     "field of 200000 digits": ("1" * 200_000 + ",1\n1,1\n", [], "222222222"),
     "above max size": ("1,1,1\n1,1,1\n1,1,1\n", ["--max-size", "2"], "222222222"),
@@ -638,6 +638,30 @@ def test_exit_code_table(capsys, tmp_path, condition, column):
         assert code == int(codes[column]), (fmt, err)
         assert (out == "") == (code != 0)
         assert len(err.splitlines()) == (code != 0)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("1e308,0\n0,1e308\n", "-100"), ("1e308,1e307\n1e307,1e308\n", "-90.9090909091")],
+)
+def test_raw_cited_change_near_the_float_limit(capsys, tmp_path, text, expected):
+    path = tmp_path / "counts.csv"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(
+        capsys, "sensitivity", str(path), "--indicator", "raw_cited", "--format", "csv"
+    )
+    assert (code, err) == (0, "")
+    assert [line.split(",")[-1] for line in out.splitlines()[1:3]] == [expected] * 2
+
+
+def test_overflowed_power_weakness_ratio_is_a_numerical_error(capsys, tmp_path):
+    # B's citing total is 1e-10 against A's 2e300, so its weakness weight is
+    # 1e-310 and 0.5 / 1e-310 overflows
+    path = tmp_path / "counts.csv"
+    path.write_text("1e300,1e-10\n1e300,1e-10\n", encoding="utf-8")
+    code, out, err = run(capsys, "pwr", str(path))
+    assert (code, out) == (3, "")
+    assert err == "citeweight: numerical-error: power-weakness ratio of journal 'J2' overflowed\n"
 
 
 class TestSubprocess:

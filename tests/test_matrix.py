@@ -126,6 +126,18 @@ class TestParse:
         with pytest.raises(CitationDataError, match="line 2"):
             parse_matrix_csv("1,2\n3\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("journal,A,B\nA,1,2\nB,3\n", "ragged row: line 3 has 2 fields, expected 3"),
+            ("journal,A\nA,1,2\nB,3,4\n", "ragged row: line 2 has 3 fields, expected 2"),
+        ],
+    )
+    def test_labeled_ragged_row_counts_the_header_as_line_one(self, text, message):
+        with pytest.raises(CitationDataError) as exc:
+            parse_matrix_csv(text, labeled=True)
+        assert str(exc.value) == message
+
     def test_non_numeric_cell_named(self):
         with pytest.raises(CitationDataError, match="row 2.*column 1"):
             parse_matrix_csv("1,2\nx,4\n")

@@ -99,6 +99,20 @@ class TestWeightVector:
         with pytest.raises(CitationDataError):
             WeightVector(JournalSet(("A", "B")), np.array([1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([1.0, 2.0, 3.0], "2 journal labels need a vector of 2 values, got shape (3,)"),
+            ([-1.0, np.nan], "cell (1) is not finite"),
+            ([np.inf, 1.0], "cell (0) is not finite"),
+            ([1.0, -2.5], "cell (1) is negative: -2.5"),
+        ],
+    )
+    def test_names_the_first_bad_cell(self, values, message):
+        with pytest.raises(CitationDataError) as exc:
+            WeightVector(JournalSet(("A", "B")), np.array(values))
+        assert str(exc.value) == message
+
 
 class TestPowerIterate:
     def test_first_cycle_product_is_row_sums(self, small):
@@ -204,6 +218,7 @@ class TestPowerIterate:
             with pytest.raises(CitationDataError, match=f"max_cycles must be .* {bad}"):
                 power_iterate(small, max_cycles=bad)
         assert power_iterate(small, cycles=np.int64(2)).iterations_used == 2
+        assert power_iterate(small, cycles=150, max_cycles=5).iterations_used == 150
         assert power_iterate(small, max_cycles=np.int32(100)).converged
 
 

@@ -136,6 +136,21 @@ def test_adopted_arrays_keep_the_constructor_messages():
     assert str(overflow.value) == "normalized cell ('A', 'B') overflowed"
 
 
+@pytest.mark.parametrize("build", [CitationMatrix, NormalizedMatrix])
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([[1.0, 2.0, 3.0]], "2 journal labels need a square 2x2 matrix, got shape (1, 3)"),
+        ([[-1.0, np.nan], [np.inf, 1.0]], "cell (0, 1) is not finite"),
+        ([[1.0, 2.0], [-3.0, -4.0]], "cell (1, 0) is negative: -3"),
+    ],
+)
+def test_public_constructors_name_the_first_bad_cell(build, values, message):
+    with pytest.raises(CitationDataError) as exc:
+        build(JournalSet(("A", "B")), np.array(values))
+    assert str(exc.value) == message
+
+
 def _traced_peak(func, *args):
     """Bytes allocated at the peak of ``func(*args)`` above what was live
     when it started."""

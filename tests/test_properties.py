@@ -198,6 +198,15 @@ def test_matrix_power_matches_triple_loop(m, k):
 
 
 @EXAMPLES
+@given(positive_matrices, st.sampled_from(["iw", "raw_cited", "cited_citing_ratio"]))
+def test_finite_percent_changes_are_bitwise_the_plain_formula(m, indicator):
+    report = self_citation_sensitivity(m, indicator, cycles=7)
+    formula = (report.without_values - report.with_values) * 100.0 / report.with_values
+    finite = np.isfinite(report.pct_change)
+    assert report.pct_change[finite].tobytes() == formula[finite].tobytes()
+
+
+@EXAMPLES
 @given(positive_matrices)
 def test_first_cycle_ratio_equals_margin_quotient(m):
     result = power_weakness_ratio(m, 1)
