@@ -36,6 +36,10 @@ DEFAULT_MAX_SIZE = 1024
 # reader read as field text.
 _LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
+# The characters of plain headerless text, which numpy's C reader reads as
+# csv.reader plus float() do.
+_PLAIN_BYTES = b"0123456789.+-eE, \t\r\n"
+
 
 @dataclass(frozen=True)
 class JournalSet:
@@ -186,9 +190,20 @@ def parse_matrix_csv(
         For text the csv module cannot read, ragged or non-square grids,
         non-numeric or negative cells, duplicate or mismatched labels, sizes
         outside [2, max_size], and a ``max_size`` below 2.
+
+    Notes
+    -----
+    The accepted grammar is ``csv.reader`` rows with ``float()`` cells.
+    Headerless text made only of digits, ``.+-eE``, commas, spaces, tabs
+    and line breaks is read by numpy's C reader instead, which gives
+    identical counts; any other text, and any such text the C reader
+    refuses, goes through the csv reader, which alone words the errors.
     """
     _check_max_size(max_size)
     text = _decode(data)
+    values = None if labeled else _plain_grid(text, max_size)
+    if values is not None:
+        return _adopt(CitationMatrix, _numbered_journals(len(values)), values)
     # Stop at the first row past the cap, so an oversized input is never
     # materialised; the header row of a labeled matrix does not count.
     row_cap = max_size + 1 if labeled else max_size
@@ -234,14 +249,16 @@ def parse_matrix_csv(
         n = len(rows)
         if width != n:
             raise CitationDataError(f"matrix must be square, got {n} rows x {width} columns")
-        if n < 2:
-            raise CitationDataError(f"matrix must be at least 2x2, got {n}x{n}")
-        label_set = JournalSet(tuple(f"J{i}" for i in range(1, n + 1)))
+        label_set = _numbered_journals(n)
         cells = rows
+    # Matching labels make the labeled grid n x n as well; its size is
+    # checked before any cell, as the headerless one's is.
+    if n < 2:
+        raise CitationDataError(f"matrix must be at least 2x2, got {n}x{n}")
 
-    # Matching labels make the labeled grid n x n as well.  Only the
-    # conversion sits in the try: CitationDataError is a ValueError, and the
-    # finite and sign checks of CitationMatrix must not be caught here.
+    # Only the conversion sits in the try: CitationDataError is a
+    # ValueError, and the finite and sign checks of CitationMatrix must not
+    # be caught here.
     try:
         values = np.fromiter(
             map(float, itertools.chain.from_iterable(cells)), dtype=float, count=n * n
@@ -250,6 +267,40 @@ def parse_matrix_csv(
         _raise_first_non_numeric(cells)
         raise
     return _adopt(CitationMatrix, label_set, values)
+
+
+def _numbered_journals(n: int) -> JournalSet:
+    return JournalSet(tuple(f"J{i}" for i in range(1, n + 1)))
+
+
+def _plain_grid(text: str, max_size: int) -> np.ndarray | None:
+    """The counts of headerless ``text`` read by numpy's C reader, or None
+    unless they are certain to equal those of the csv reader path."""
+    # An allowlist, as on other characters the two paths differ: loadtxt
+    # strips "\x1c"-"\x1e" around a number, which float() rejects, and
+    # str.splitlines breaks lines where the csv path does not (see _LINE).
+    # With no quote character, each csv row is its line split at commas.
+    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_BYTES):
+        return None
+    # Up to max_size lines with no blank ones hold at most 2 * max_size
+    # break characters.  More breaks mean too many rows or many blank lines,
+    # and the csv path, which stops at the cap, reads those without
+    # splitting the whole text at once.
+    if text.count("\n") + text.count("\r") > 2 * max_size:
+        return None
+    lines = [line for line in text.splitlines() if line]
+    if not lines or len(lines) > max_size:
+        return None
+    # a longer field is a csv.Error on the reader path
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    # quotechar needs numpy 1.23, below the 1.24 that pyproject.toml requires
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    n, width = values.shape
+    return values if n == width >= 2 else None
 
 
 def _raise_first_non_numeric(cells: list[list[str]]) -> None:

@@ -670,6 +670,12 @@ class TestSubprocess:
         assert result.returncode == 0
         assert "J1" in result.stdout
 
+    def test_stdin_with_blank_lines_reads_without_warnings(self):
+        result = run_process(["iw", "-"], stdin_text="\n1,2\n\n3,4\n\n")
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert "J2" in result.stdout
+
     def test_stdin_that_is_not_utf8_is_data_error(self):
         # strict decoding, as under a UTF-8 locale
         result = subprocess.run(

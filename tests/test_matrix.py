@@ -138,6 +138,14 @@ class TestParse:
             parse_matrix_csv(text, labeled=True)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "text, labeled", [("x\n", False), ("j,A\nA,foo\n", True)], ids=["headerless", "labeled"]
+    )
+    def test_one_by_one_grid_is_refused_before_its_cell(self, text, labeled):
+        with pytest.raises(CitationDataError) as exc:
+            parse_matrix_csv(text, labeled=labeled)
+        assert str(exc.value) == "matrix must be at least 2x2, got 1x1"
+
     def test_non_numeric_cell_named(self):
         with pytest.raises(CitationDataError, match="row 2.*column 1"):
             parse_matrix_csv("1,2\nx,4\n")
@@ -203,6 +211,31 @@ class TestParse:
         assert len(read) == 6
         labeled = "journal,A,B\nA,1,2\nB,3,4\n"
         assert parse_matrix_csv(labeled, labeled=True, max_size=2).n == 2
+
+    def test_size_cap_bounds_the_lines_numpy_reads(self, monkeypatch):
+        handed, loadtxt = [], np.loadtxt
+
+        def counting_loadtxt(lines, *args, **kwargs):
+            handed.append(len(lines))
+            return loadtxt(lines, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        for text in ("1,1\n" * 5000, "1,1\n" * 5, "1,1\n\n" * 5, "1,1\r\n" * 5):
+            with pytest.raises(CitationDataError, match="max_size"):
+                parse_matrix_csv(text, max_size=4)
+        assert parse_matrix_csv("1,1,1,1\n\n" * 4, max_size=4).n == 4
+        assert handed and max(handed) <= 4
+
+    def test_plain_headerless_grid_is_read_without_the_csv_reader(self, monkeypatch):
+        def no_reader(*args, **kwargs):
+            raise AssertionError("plain headerless text went to csv.reader")
+
+        monkeypatch.setattr(csv, "reader", no_reader)
+        counts = np.arange(64 * 64, dtype=float).reshape(64, 64)
+        text = "".join(",".join(f"{v:g}" for v in row) + "\n" for row in counts)
+        m = parse_matrix_csv(text, max_size=64)
+        assert m.counts.tobytes() == counts.tobytes()
+        assert m.counts.flags.c_contiguous
 
     def test_blank_lines_do_not_count_toward_the_size_cap(self):
         assert parse_matrix_csv("1,2\n\n\n3,4\n\n", max_size=2).n == 2

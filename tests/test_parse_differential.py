@@ -1,11 +1,16 @@
 """parse_matrix_csv against a per-cell float() reference, on tricky fields.
 
-The parser converts all cells in one bulk pass; the reference below keeps
-the plain row-major loop.  Both must agree bit for bit (sign of zero
-included) or fail with the same message naming the same first cell.
+The parser converts all cells in one bulk pass, and reads plain headerless
+text with numpy's C reader; the reference below keeps csv.reader and the
+plain row-major loop.  Both must agree bit for bit (sign of zero included)
+or fail with the same message naming the same first cell.
 """
 
+import csv
+import io
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,10 +81,11 @@ def grids(draw):
     return grid, draw(st.sampled_from(("\n", "\r\n", "\r")))
 
 
-def assert_same_outcome(text, labeled, labels, grid):
-    expected = reference_parse(labels, grid)
+def assert_same_outcome(expected, text, **kwargs):
+    """``parse_matrix_csv(text, **kwargs)`` gives the ``expected`` counts,
+    bit for bit, or fails with the ``expected`` message."""
     try:
-        got = parse_matrix_csv(text, labeled=labeled).counts
+        got = parse_matrix_csv(text, **kwargs).counts
     except CitationDataError as exc:
         assert str(exc) == expected
         return
@@ -93,7 +99,7 @@ def assert_same_outcome(text, labeled, labels, grid):
 def test_headerless_grid_matches_reference(drawn):
     grid, eol = drawn
     labels = tuple(f"J{i}" for i in range(1, len(grid) + 1))
-    assert_same_outcome(write_csv(grid, eol), False, labels, grid)
+    assert_same_outcome(reference_parse(labels, grid), write_csv(grid, eol))
 
 
 @EXAMPLES
@@ -104,7 +110,94 @@ def test_labeled_grid_matches_reference(drawn, data):
     label_lists = st.lists(st.sampled_from(LABELS), min_size=n, max_size=n, unique=True)
     labels = tuple(data.draw(label_lists))
     rows = [["journal", *labels], *([label, *row] for label, row in zip(labels, grid))]
-    assert_same_outcome(write_csv(rows, eol), True, labels, grid)
+    assert_same_outcome(reference_parse(labels, grid), write_csv(rows, eol), labeled=True)
+
+
+# Text over the alphabet that numpy's C reader is allowed to read: digits,
+# ".+-eE", commas, spaces, tabs and line breaks.
+PLAIN_FIELDS = (
+    ("0", "7", "2.5", "1e3", "1E-2", "+4", "-0", ".5", "5.", " 3 ", "\t6")
+    + ("1e400", "-2")  # float() reads these, and CitationMatrix rejects the value
+)
+PLAIN_EOLS = ("\n", "\r\n", "\r")
+
+
+def reference_plain(text, max_size):
+    """Counts of headerless text by csv.reader rows and per-cell float(), or
+    the error message the parser must give."""
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    if len(rows) > max_size:
+        return (
+            f"matrix has more than {max_size} rows, above the max_size limit "
+            "(raise max_size to allow it)"
+        )
+    if not rows:
+        return "input contains no data rows"
+    n, width = len(rows), len(rows[0])
+    for lineno, row in enumerate(rows, start=1):
+        if len(row) != width:
+            return f"ragged row: line {lineno} has {len(row)} fields, expected {width}"
+    if width != n:
+        return f"matrix must be square, got {n} rows x {width} columns"
+    if n < 2:
+        return f"matrix must be at least 2x2, got {n}x{n}"
+    return reference_parse(tuple(f"J{i}" for i in range(1, n + 1)), rows)
+
+
+@st.composite
+def plain_texts(draw):
+    max_size = draw(st.integers(2, 5))
+    n = draw(st.integers(1, max_size + 1))
+    # half the grids use only well-formed numbers, and half are square
+    good = st.sampled_from(PLAIN_FIELDS)
+    junk = st.text(alphabet="0123456789.+-eE \t", max_size=4)
+    field = good if draw(st.booleans()) else st.one_of(good, junk)
+    widths = st.just(n) if draw(st.booleans()) else st.integers(1, 6)
+    row = widths.flatmap(lambda w: st.lists(field, min_size=w, max_size=w))
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    lines = []
+    for row in rows:
+        lines.extend([""] * draw(st.sampled_from((0, 0, 0, 1, 2))))  # blank lines
+        lines.append(",".join(row))
+    eols = st.sampled_from(PLAIN_EOLS)
+    text = "".join(line + draw(eols) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, max_size
+
+
+@settings(max_examples=600, deadline=None)
+@given(plain_texts())
+def test_plain_headerless_text_matches_reference(drawn):
+    text, max_size = drawn
+    assert_same_outcome(reference_plain(text, max_size), text, max_size=max_size)
+
+
+@pytest.mark.parametrize(
+    "text, max_size, counts",
+    [
+        ('"1",2\n3,4\n', 2, [[1.0, 2.0], [3.0, 4.0]]),
+        ("1,2\n\n3,4\n", 2, [[1.0, 2.0], [3.0, 4.0]]),
+    ],
+    ids=["quoted-field", "blank-line-under-cap"],
+)
+def test_plain_text_edge_cases_read(text, max_size, counts):
+    assert parse_matrix_csv(text, max_size=max_size).counts.tolist() == counts
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # numpy's reader strips the separator as whitespace, float() does not
+        ("1\x1c,1\n1,1\n", "non-numeric cell at row 1, column 1: '1\\x1c'"),
+        ("1" * 200_000 + ",1\n1,1\n", "malformed CSV at line 1: "),
+    ],
+    ids=["file-separator", "field-over-size-limit"],
+)
+def test_plain_text_edge_cases_refused(text, message):
+    with pytest.raises(CitationDataError) as exc:
+        parse_matrix_csv(text)
+    assert str(exc.value).startswith(message)
 
 
 def test_form_feed_after_a_number_is_not_a_line_break():
