@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Subcommands map one-to-one onto the library: iw, pwr, normalize, power,
-diagnose, sensitivity, fit, and reproduce-paper, which reruns the bundled
-eight-journal worked example end to end.  Matrices come from a CSV path,
-stdin ("-"), or a named fixture; reports go to stdout or --output in
-table, csv, or json form.
+Every subcommand that reads a matrix runs one pipeline, ``_run``: load a
+CSV path, stdin ("-") or a named fixture; compute the subcommand's row of
+``_COMMANDS``; write the JSON ``meta`` block as the shared keys
+(indicator, source, transposed, version), the row's own keys and, where
+the subcommand has that flag, ``self_citations``; build the report
+sections.  ``reproduce-paper`` reruns the bundled eight-journal worked
+example with a fixed meta block.  Reports go to stdout or --output as
+table, csv or json.
 
 Exit codes: 0 success, 1 usage error, 2 malformed or unreadable data,
 3 numerical failure (non-convergence, undefined ratio, overflow).
@@ -13,6 +16,7 @@ Exit codes: 0 success, 1 usage error, 2 malformed or unreadable data,
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from pathlib import Path
 
@@ -207,11 +211,12 @@ def _load_input(args) -> tuple[CitationMatrix, str]:
     _check_max_size(args.max_size)
     if has_fixture:
         m = load_fixture(args.fixture)
+        _check_max_size(args.max_size, m.n)
         source = f"fixture:{args.fixture}"
     else:
         try:
             if args.matrix == "-":
-                data = sys.stdin.read()
+                data = _read_stdin()
                 source = "stdin"
             else:
                 data = Path(args.matrix).read_text(encoding="utf-8")
@@ -227,134 +232,114 @@ def _load_input(args) -> tuple[CitationMatrix, str]:
     return m, source
 
 
-def _base_meta(args, source: str, indicator: str) -> dict:
+def _read_stdin() -> str:
+    # UTF-8 with universal newlines, as a file is read, whatever the locale
+    # says; a text stream with no bytes beneath it (an io.StringIO put in
+    # place of sys.stdin) is read as it is
+    raw = getattr(sys.stdin, "buffer", None)
+    if raw is None:
+        return sys.stdin.read()
+    return io.TextIOWrapper(io.BytesIO(raw.read()), encoding="utf-8").read()
+
+
+def _iteration(args) -> dict:
     return {
-        "indicator": indicator,
-        "source": source,
-        "transposed": bool(getattr(args, "transpose", False)),
-        "version": __version__,
+        "cycles": args.iterations,
+        "tolerance": args.tolerance,
+        "max_cycles": args.max_iterations,
     }
 
 
-def _cmd_iw(args):
-    m, source = _load_input(args)
-    trace = influence_trace(
-        m,
-        cycles=args.iterations,
-        tolerance=args.tolerance,
-        max_cycles=args.max_iterations,
-    )
-    meta = _base_meta(args, source, "iw")
-    meta.update(
-        iterations=trace.iterations_used,
-        tolerance=args.tolerance,
-        converged=trace.converged,
-        self_citations=bool(args.self_citations),
-    )
-    return build_sections(trace), meta
-
-
-def _cmd_pwr(args):
-    m, source = _load_input(args)
-    result = power_weakness_ratio(m, args.iterations)
-    meta = _base_meta(args, source, "pwr")
-    meta.update(iterations=result.cycles, self_citations=bool(args.self_citations))
-    return build_sections(result), meta
-
-
-def _cmd_normalize(args):
-    m, source = _load_input(args)
-    meta = _base_meta(args, source, "normalize")
-    meta.update(self_citations=bool(args.self_citations))
-    return build_sections(pinski_narin_normalize(m)), meta
-
-
-def _cmd_power(args):
-    m, source = _load_input(args)
-    result = MatrixPower(m.journals, matrix_power(m, args.k), args.k)
-    meta = _base_meta(args, source, "power")
-    meta.update(k=int(args.k), self_citations=bool(args.self_citations))
-    return build_sections(result), meta
-
-
-def _cmd_diagnose(args):
-    m, source = _load_input(args)
-    return build_sections(self_citation_diagnostics(m)), _base_meta(
-        args, source, "diagnostics"
-    )
-
-
-def _cmd_sensitivity(args):
-    m, source = _load_input(args)
-    report = self_citation_sensitivity(
-        m,
-        args.indicator,
-        cycles=args.iterations,
-        tolerance=args.tolerance,
-        max_cycles=args.max_iterations,
-    )
-    meta = _base_meta(args, source, "sensitivity")
-    meta.update(
-        compared=args.indicator,
-        iterations=args.iterations,
-        tolerance=args.tolerance,
-        max_abs_pct_change=json_cell(report.max_abs_pct_change),
-        mean_abs_pct_change=json_cell(report.mean_abs_pct_change),
-    )
-    return build_sections(report), meta
-
-
-def _fit_report(
-    m: CitationMatrix, cycles: int | None, tolerance: float, max_cycles: int
-) -> FitReport:
+def _fit_report(m: CitationMatrix, **iteration) -> FitReport:
     """Influence weights with and without self-citations, and their fit."""
-    report = self_citation_sensitivity(
-        m, INDICATOR_IW, cycles=cycles, tolerance=tolerance, max_cycles=max_cycles
-    )
+    report = self_citation_sensitivity(m, INDICATOR_IW, **iteration)
     return FitReport(report, linear_fit(report.with_values, report.without_values))
 
 
-def _cmd_fit(args):
-    m, source = _load_input(args)
-    report = _fit_report(m, args.iterations, args.tolerance, args.max_iterations)
-    meta = _base_meta(args, source, "fit")
-    meta.update(
-        iterations=args.iterations,
-        tolerance=args.tolerance,
-        slope=json_cell(report.fit.slope),
-        intercept=json_cell(report.fit.intercept),
-        pearson_r=json_cell(report.fit.pearson_r),
-    )
-    return build_sections(report), meta
-
-
-def _cmd_reproduce(args):
-    m = price_matrix()
-    fit_report = _fit_report(m, 7, DEFAULT_TOLERANCE, DEFAULT_MAX_CYCLES)
-    sections = (
-        *build_sections(pinski_narin_normalize(m)),
-        *build_sections(fit_report.sensitivity),
-        *build_sections(fit_report),
-    )
-    meta = {
-        "indicator": "reproduce",
-        "source": "fixture:price",
-        "iterations": 7,
-        "version": __version__,
+def _iw(m, args):
+    trace = influence_trace(m, **_iteration(args))
+    return trace, {
+        "iterations": trace.iterations_used,
+        "tolerance": args.tolerance,
+        "converged": trace.converged,
     }
-    return sections, meta
 
 
+def _pwr(m, args):
+    result = power_weakness_ratio(m, args.iterations)
+    return result, {"iterations": result.cycles}
+
+
+def _power(m, args):
+    return MatrixPower(m.journals, matrix_power(m, args.k), args.k), {"k": args.k}
+
+
+def _sensitivity(m, args):
+    report = self_citation_sensitivity(m, args.indicator, **_iteration(args))
+    return report, {
+        "compared": args.indicator,
+        "iterations": args.iterations,
+        "tolerance": args.tolerance,
+        "max_abs_pct_change": json_cell(report.max_abs_pct_change),
+        "mean_abs_pct_change": json_cell(report.mean_abs_pct_change),
+    }
+
+
+def _fit(m, args):
+    report = _fit_report(m, **_iteration(args))
+    return report, {
+        "iterations": args.iterations,
+        "tolerance": args.tolerance,
+        "slope": json_cell(report.fit.slope),
+        "intercept": json_cell(report.fit.intercept),
+        "pearson_r": json_cell(report.fit.pearson_r),
+    }
+
+
+# subcommand: (meta indicator, (matrix, args) -> (result, its own meta keys)).
+# Every entry looks the library functions up in this module when called, not
+# at import, so wrappers put on this module's attributes (bench/tracer.py)
+# see each call.
 _COMMANDS = {
-    "iw": _cmd_iw,
-    "pwr": _cmd_pwr,
-    "normalize": _cmd_normalize,
-    "power": _cmd_power,
-    "diagnose": _cmd_diagnose,
-    "sensitivity": _cmd_sensitivity,
-    "fit": _cmd_fit,
-    "reproduce-paper": _cmd_reproduce,
+    "iw": ("iw", _iw),
+    "pwr": ("pwr", _pwr),
+    "normalize": ("normalize", lambda m, args: (pinski_narin_normalize(m), {})),
+    "power": ("power", _power),
+    "diagnose": ("diagnostics", lambda m, args: (self_citation_diagnostics(m), {})),
+    "sensitivity": ("sensitivity", _sensitivity),
+    "fit": ("fit", _fit),
 }
+
+
+def _run(args):
+    """The sections and meta block of one subcommand."""
+    if args.command == "reproduce-paper":
+        m = price_matrix()
+        fit_report = _fit_report(m, cycles=7)
+        sections = (
+            *build_sections(pinski_narin_normalize(m)),
+            *build_sections(fit_report.sensitivity),
+            *build_sections(fit_report),
+        )
+        return sections, {
+            "indicator": "reproduce",
+            "source": "fixture:price",
+            "iterations": 7,
+            "version": __version__,
+        }
+    indicator, compute = _COMMANDS[args.command]
+    m, source = _load_input(args)
+    result, extra = compute(m, args)
+    meta = {
+        "indicator": indicator,
+        "source": source,
+        "transposed": args.transpose,
+        "version": __version__,
+        **extra,
+    }
+    if hasattr(args, "self_citations"):
+        meta["self_citations"] = args.self_citations
+    return build_sections(result), meta
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -365,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0
     try:
-        sections, meta = _COMMANDS[args.command](args)
+        sections, meta = _run(args)
         text = render_sections(sections, args.format, meta)
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8")

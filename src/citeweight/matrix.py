@@ -149,9 +149,15 @@ def _is_positive_count(value) -> bool:
     return _is_int(value) and value >= 1
 
 
-def _check_max_size(max_size: int) -> None:
+def _check_max_size(max_size: int, rows: int = 0) -> None:
+    """Refuse a max_size below 2, and a matrix of more rows than it."""
     if max_size < 2:
         raise CitationDataError(f"max_size must be at least 2, got {max_size!r}")
+    if rows > max_size:
+        raise CitationDataError(
+            f"matrix has more than {max_size} rows, above the max_size limit "
+            "(raise max_size to allow it)"
+        )
 
 
 def _decode(data: str | bytes) -> str:
@@ -204,9 +210,6 @@ def parse_matrix_csv(
     values = None if labeled else _plain_grid(text, max_size)
     if values is not None:
         return _adopt(CitationMatrix, _numbered_journals(len(values)), values)
-    # Stop at the first row past the cap, so an oversized input is never
-    # materialised; the header row of a labeled matrix does not count.
-    row_cap = max_size + 1 if labeled else max_size
     rows = []
     # The reader gets one line at a time, with its ending, so no second copy
     # of the text is held; a leading byte-order mark is skipped.
@@ -216,11 +219,10 @@ def parse_matrix_csv(
         for row in reader:
             if not row:
                 continue
-            if len(rows) == row_cap:
-                raise CitationDataError(
-                    f"matrix has more than {max_size} rows, above the max_size limit "
-                    "(raise max_size to allow it)"
-                )
+            # Stop at the first row past the cap, so an oversized input is
+            # never materialised; the header row of a labeled matrix does
+            # not count.
+            _check_max_size(max_size, len(rows) + 1 - labeled)
             rows.append(row)
     except csv.Error as exc:
         # such as a field longer than csv.field_size_limit()

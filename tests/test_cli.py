@@ -24,6 +24,7 @@ def run_process(args, stdin_text=None):
         [sys.executable, "-m", "citeweight", *args],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         input=stdin_text,
         timeout=60,
     )
@@ -342,7 +343,9 @@ class TestOtherCommands:
 def seeded_csv(tmp_path_factory):
     counts = np.random.default_rng(64).integers(0, 500, size=(64, 64))
     path = tmp_path_factory.mktemp("seeded") / "counts.csv"
-    path.write_text("".join(",".join(map(str, row)) + "\n" for row in counts.tolist()))
+    path.write_text(
+        "".join(",".join(map(str, row)) + "\n" for row in counts.tolist()), encoding="utf-8"
+    )
     return str(path)
 
 
@@ -579,6 +582,103 @@ class TestExitCodes:
         )
 
 
+def _meta(indicator, **extra):
+    return {
+        "indicator": indicator,
+        "source": "fixture:price",
+        "transposed": False,
+        "version": __version__,
+        **extra,
+    }
+
+
+_ROUNDING_NOISE = pytest.approx(0.0, abs=1e-5)
+
+# The whole meta block of each subcommand on --fixture price, keys in order.
+# Without self-citations the tolerance-mode weights move by rounding noise
+# only, so those summaries and the fit line are compared with a tolerance.
+META_TABLE = [
+    (
+        ["iw"],
+        _meta("iw", iterations=26, tolerance=1e-9, converged=True, self_citations=True),
+    ),
+    (
+        ["iw", "--iterations", "7"],
+        _meta("iw", iterations=7, tolerance=1e-9, converged=False, self_citations=True),
+    ),
+    (["pwr"], _meta("pwr", iterations=7, self_citations=True)),
+    (["normalize"], _meta("normalize", self_citations=True)),
+    (["power", "-k", "2"], _meta("power", k=2, self_citations=True)),
+    (["diagnose"], _meta("diagnostics")),
+    # in tolerance mode sensitivity and fit write null iterations
+    (
+        ["sensitivity", "--indicator", "iw"],
+        _meta(
+            "sensitivity",
+            compared="iw",
+            iterations=None,
+            tolerance=1e-9,
+            max_abs_pct_change=_ROUNDING_NOISE,
+            mean_abs_pct_change=_ROUNDING_NOISE,
+        ),
+    ),
+    (
+        ["sensitivity", "--indicator", "raw_cited"],
+        _meta(
+            "sensitivity",
+            compared="raw_cited",
+            iterations=None,
+            tolerance=1e-9,
+            max_abs_pct_change=47.3383911217,
+            mean_abs_pct_change=31.5083866263,
+        ),
+    ),
+    (
+        ["sensitivity", "--indicator", "cited_citing_ratio"],
+        _meta(
+            "sensitivity",
+            compared="cited_citing_ratio",
+            iterations=None,
+            tolerance=1e-9,
+            max_abs_pct_change=23.7464403099,
+            mean_abs_pct_change=13.0451106597,
+        ),
+    ),
+    (
+        ["fit"],
+        _meta(
+            "fit",
+            iterations=None,
+            tolerance=1e-9,
+            slope=pytest.approx(1.0, abs=1e-6),
+            intercept=_ROUNDING_NOISE,
+            pearson_r=pytest.approx(1.0, abs=1e-9),
+        ),
+    ),
+    (
+        ["reproduce-paper"],
+        {
+            "indicator": "reproduce",
+            "source": "fixture:price",
+            "iterations": 7,
+            "version": __version__,
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, expected", META_TABLE, ids=[" ".join(command) for command, _ in META_TABLE]
+)
+def test_meta_block_of_every_subcommand(capsys, command, expected):
+    source = [] if command == ["reproduce-paper"] else ["--fixture", "price"]
+    code, out, err = run(capsys, *command, *source, "--format", "json")
+    assert (code, err) == (0, "")
+    meta = json.loads(out)["meta"]
+    assert list(meta) == list(expected)
+    assert meta == expected
+
+
 # Exit code of each subcommand on each condition.  Columns, in order: iw,
 # pwr, normalize, power -k 3, diagnose, sensitivity with --indicator iw,
 # raw_cited and cited_citing_ratio, and fit.  A code holds in every format.
@@ -614,6 +714,7 @@ EXIT_CODE_TABLE = {
     "above max size": ("1,1,1\n1,1,1\n1,1,1\n", ["--max-size", "2"], "222222222"),
     # no input file: the bundled fixture is read
     "max size below 2, fixture": (None, ["--fixture", "price", "--max-size", "1"], "222222222"),
+    "above max size, fixture": (None, ["--fixture", "price", "--max-size", "4"], "222222222"),
     # written with surrogateescape, so the file holds the byte 0xff
     "not UTF-8": ("\udcff,1\n1,1\n", [], "222222222"),
 }
@@ -704,6 +805,33 @@ class TestSubprocess:
         assert result.stderr == b""
         assert b"J1" in result.stdout
 
+    @pytest.mark.parametrize(
+        "data, flags",
+        [
+            (b"\xef\xbb\xbf1,2\n3,4\n", []),
+            ("x,\u00dc,B\n\u00dc,5,1\nB,2,7\n".encode(), ["--labeled"]),
+            # a line break inside a quoted label becomes "\n", as in a file
+            (b'x,"A\r\nB",C\r\n"A\r\nB",5,1\r\nC,2,7\r\n', ["--labeled"]),
+        ],
+        ids=["byte-order mark", "non-ASCII label", "CRLF inside a label"],
+    )
+    def test_stdin_reads_as_a_file_does_whatever_the_locale(self, tmp_path, data, flags):
+        # under a latin-1 locale, stdin's UTF-8 bytes are still read as UTF-8
+        path = tmp_path / "counts.csv"
+        path.write_bytes(data)
+        stdin, file = (
+            subprocess.run(
+                [sys.executable, "-m", "citeweight", "iw", source, *flags],
+                capture_output=True,
+                input=data,
+                env={**os.environ, "PYTHONIOENCODING": "latin-1"},
+                timeout=60,
+            )
+            for source in ("-", str(path))
+        )
+        assert (stdin.returncode, stdin.stdout) == (file.returncode, file.stdout)
+        assert (stdin.returncode, stdin.stderr) == (0, b"")
+
     def test_module_entry_point(self):
         result = run_process(["iw", "--fixture", "price", "--iterations", "7"])
         assert result.returncode == 0
@@ -727,6 +855,7 @@ class TestSubprocess:
             [sys.executable, "-c", launcher, "--version"],
             capture_output=True,
             text=True,
+            encoding="utf-8",
             timeout=60,
         )
         assert result.returncode == 0
