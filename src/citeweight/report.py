@@ -2,7 +2,10 @@
 
 Every result is first turned into one or more sections (row labels, a
 header and one 2-D array) by the one layout of its type, then the chosen
-writer streams the sections one row at a time into the report text.
+writer streams the sections one row at a time into the report text.  Each
+writer builds one ``%`` template per section, from its column count (and,
+for a table, its column widths), and formats a whole row with it; the
+bytes are those of the per-cell writers the templates replaced.
 Floats are written with 12 significant digits in every format; a JSON
 number is the shortest repr of the 12-digit value, and an int cell keeps
 all its digits, so the three formats carry identical values.  The JSON
@@ -19,7 +22,7 @@ import io
 import itertools
 import json
 import math
-import operator
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,28 +99,22 @@ class Section:
             )
 
 
-#: Canonical 12-significant-digit rendering shared by all writers.
+#: Canonical 12-significant-digit rendering, the text of the writers'
+#: ``%.12g`` templates.
 format_number = "{:.12g}".format
 
 
-def _texts(values, undefined: str) -> list[str]:
-    """12-digit texts of a sequence of numbers, NaN written as ``undefined``."""
-    texts = list(map(format_number, values))
-    if "nan" in texts:
-        texts = [undefined if text == "nan" else text for text in texts]
-    return texts
-
-
-def _text_rows(sec: Section, undefined: str):
-    """Yield each row of ``sec`` as its label and cell texts, one at a time."""
+def _row_cells(sec: Section):
+    """The ``%`` conversion of ``sec``'s cells, and its rows as tuples of
+    cells, converted one row at a time.  Floats take ``.12g``; an object
+    section's cells are rendered to text first (``s``), so that an int
+    keeps all its digits."""
+    rows = (tuple(row.tolist()) for row in sec.values)
     # only an object array can hold ints
-    exact = sec.values.dtype == object
-    for label, row in zip(sec.labels, sec.values):
-        cells = row.tolist()
-        texts = _texts(cells, undefined)
-        if exact:
-            texts = [str(int(v)) if _is_int(v) else t for v, t in zip(cells, texts)]
-        yield [label, *texts]
+    if sec.values.dtype != object:
+        return ".12g", rows
+    texts = (tuple(str(int(v)) if _is_int(v) else "%.12g" % v for v in row) for row in rows)
+    return "s", texts
 
 
 def json_cell(value: float) -> float | None:
@@ -188,10 +185,10 @@ def _sensitivity_layout(result: SensitivityReport) -> tuple[Section, ...]:
     values = np.column_stack(
         (result.with_values, result.without_values, result.pct_change)
     )
-    max_text, mean_text = _texts(
-        (result.max_abs_pct_change, result.mean_abs_pct_change), "n/a"
+    footer = (
+        f"max |pct_change|:  {result.max_abs_pct_change:.12g}".replace("nan", "n/a"),
+        f"mean |pct_change|: {result.mean_abs_pct_change:.12g}".replace("nan", "n/a"),
     )
-    footer = (f"max |pct_change|:  {max_text}", f"mean |pct_change|: {mean_text}")
     columns = ("with", "without", "pct_change")
     return (_grid("sensitivity", title, columns, result.journals, values, footer),)
 
@@ -236,16 +233,37 @@ def _render_table(sections: Sequence[Section]) -> str:
     for index, sec in enumerate(sections):
         if index:
             out.write("\n")
+        spec, rows = _row_cells(sec)
         # size, then write, in two passes: a section's texts are never all held
         widths = list(map(len, sec.header))
-        for row in _text_rows(sec, "n/a"):
-            widths = list(map(max, widths, map(len, row)))
+        probe = ",".join([f"%{spec}"] * (len(widths) - 1))
+        for label, cells in zip(sec.labels, rows):
+            widths[0] = max(widths[0], len(label))
+            widths[1:] = map(max, widths[1:], map(len, (probe % cells).split(",")))
         out.write(f"{sec.title}\n{'-' * len(sec.title)}\n")
-        for row in itertools.chain((sec.header,), _text_rows(sec, "n/a")):
-            padded = [row[0].ljust(widths[0]), *map(str.rjust, row[1:], widths[1:])]
-            out.write("  ".join(padded).rstrip() + "\n")
+        header = "".join(f"  %{w}s" for w in widths[1:]) % sec.header[1:]
+        out.write((sec.header[0].ljust(widths[0]) + header).rstrip() + "\n")
+        template = "".join(f"  %{w}{spec}" for w in widths[1:])
+        for label, cells in zip(sec.labels, _row_cells(sec)[1]):
+            # "nan" and "n/a" have one width; a label may hold "nan"
+            line = label.ljust(widths[0]) + (template % cells).replace("nan", "n/a")
+            out.write(line.rstrip() + "\n")
         out.writelines(line + "\n" for line in sec.footer)
     return out.getvalue()
+
+
+# a field holding any of these may be quoted by csv.writer
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_label(label: str, lone: bool) -> str:
+    """The text csv.writer gives ``label`` as the first field of a row, or
+    as its only field (``lone``), where an empty field is quoted."""
+    if label and not _CSV_SPECIAL.search(label):
+        return label
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerow((label,) if lone else (label, ""))
+    return text.getvalue()[: -1 if lone else -2]
 
 
 def _render_csv(sections: Sequence[Section]) -> str:
@@ -257,28 +275,13 @@ def _render_csv(sections: Sequence[Section]) -> str:
                 out.write("\n")
             out.write(f"# {sec.key}\n")
         writer.writerow(sec.header)
-        writer.writerows(_text_rows(sec, ""))
+        spec, rows = _row_cells(sec)
+        lone = len(sec.header) == 1
+        # every cell follows a comma, and only NaN's text starts with "nan"
+        template = f",%{spec}" * (len(sec.header) - 1) + "\n"
+        for label, cells in zip(sec.labels, rows):
+            out.write(_csv_label(label, lone) + (template % cells).replace(",nan", ","))
     return out.getvalue()
-
-
-def _json_row(row: list) -> list[str]:
-    """JSON texts of a row of cells: an int keeps its digits, a float is
-    ``repr(float(f"{v:.12g}"))`` and NaN is null."""
-    texts = list(map(format_number, row))
-    joined = "".join(texts)
-    # A 12-digit text with a point and no exponent is already its float's
-    # repr.  Each text holds at most one of each, so the counts tell
-    # whether every text is one; only the others are re-parsed: integral
-    # values, exponent forms (.12g from 1e12 on, repr only from 1e16) and
-    # nan.
-    if joined.count(".") - joined.count("e") == len(texts):
-        return texts
-    texts = [t if "." in t and "e" not in t else repr(float(t)) for t in texts]
-    if set(map(type, row)) != {float}:
-        texts = [str(int(v)) if _is_int(v) else t for v, t in zip(row, texts)]
-    if "n" in joined:
-        texts = ["null" if t == "nan" else t for t in texts]
-    return texts
 
 
 def _json_section(sec: Section, indent: str):
@@ -286,16 +289,32 @@ def _json_section(sec: Section, indent: str):
     ``indent``, formatting one row at a time.  With one column a row is its
     cell, otherwise an object keyed by column name."""
     names = sec.header[1:]
-    if len(names) == 1:
-        for label, row in zip(sec.labels, sec.values):
-            yield label, _json_row(row.tolist())[0]
-        return
-    inner = indent + "    "
-    keys = [f"\n{inner}{json.dumps(name)}: " for name in names]
-    close = f"\n{indent}  }}"
+    probe = ",".join(["%.12g"] * len(names))
+    keys = (f"\n{indent}    {json.dumps(name)}: ".replace("%", "%%") for name in names)
+    template = ",".join(key + "%s" for key in keys)
+    template = "%s" if len(names) == 1 else f"{{{template}\n{indent}  }}" if names else "{}"
+    # a float64 array holds no int
+    ints = sec.values.dtype != float
     for label, row in zip(sec.labels, sec.values):
-        body = ",".join(map(operator.add, keys, _json_row(row.tolist())))
-        yield label, f"{{{body}{close}" if body else "{}"
+        cells = tuple(row.tolist())
+        joined = probe % cells
+        texts = joined.split(",") if joined else []
+        # A 12-digit text with a point and no exponent is already its
+        # float's repr.  Each text holds at most one of each, so the counts
+        # tell whether every text is one.  In any other row an int keeps
+        # its digits, an exponent form (.12g from 1e12 on, repr only from
+        # 1e16) is read back, nan is null and an integral text (below 1e12)
+        # gains ".0".
+        if joined.count(".") - joined.count("e") != len(texts):
+            texts = [
+                str(int(v)) if ints and _is_int(v)
+                else repr(float(t)) if "e" in t
+                else t if "." in t
+                else "null" if t == "nan"
+                else t + ".0"
+                for v, t in zip(cells, texts)
+            ]
+        yield label, template % tuple(texts)
 
 
 def _json_object(members, indent: str):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from citeweight import (
     JournalSet,
     NumericalError,
     build_sections,
+    pinski_narin_normalize,
     render_sections,
     self_citation_diagnostics,
     self_citation_sensitivity,
@@ -136,3 +138,23 @@ def test_multi_section_json_refuses_a_repeated_key(weights):
         render_sections(sections, "json")
     # a CSV report marks each block, so it still shows both
     assert render_sections(sections, "csv").count("# iw\n") == 2
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_render_streams_one_row_at_a_time(fmt):
+    # The report text is built once and copied once, so the peak is about
+    # twice its length.  Converting the whole array at once adds about 32
+    # bytes a cell, which lifts a table or CSV report past three times; the
+    # JSON writer would free such a list before the copy, so its guard is
+    # looser.
+    rng = np.random.default_rng(256)
+    labels = JournalSet(tuple(f"J{i}" for i in range(1, 257)))
+    m = CitationMatrix(labels, rng.integers(0, 500, size=(256, 256)))
+    sections = build_sections(pinski_narin_normalize(m))
+    tracemalloc.start()
+    try:
+        text = render_sections(sections, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citeweight import (
@@ -177,8 +177,20 @@ def reference_json(payload, meta):
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
+def single_section(header, labels, rows, dtype=float):
+    """A one-section report of ``rows``, without a meta block."""
+    return (Section("s", "S", header, labels, np.array(rows, dtype=dtype)),), None
+
+
 @EXAMPLES
 @given(reports())
+# csv.writer quotes an empty field only when it is the row's only one
+@example(single_section(("journal", "w"), ("",), [[NAN]]))
+@example(single_section(("journal", "w"), ("a\nb",), [[0.5]]))
+# a label "nan" is not an undefined cell
+@example(single_section(("journal", "w", "x"), ("nan",), [[NAN, 0.5]]))
+@example(single_section(("journal",), ("", "nan"), np.empty((2, 0))))
+@example(single_section(("statistic", "value"), ("n_points",), [[10**13]], dtype=object))
 def test_writers_match_per_cell_reference(report):
     secs, meta = report
     assert render_sections(secs, "table", meta) == reference_table(secs)
