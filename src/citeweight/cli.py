@@ -33,6 +33,7 @@ from .matrix import (
     transpose,
 )
 from .metrics import (
+    CYCLE_CEILING,
     DEFAULT_MAX_CYCLES,
     DEFAULT_TOLERANCE,
     influence_trace,
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="run exactly K cycles instead of iterating to tolerance",
+        help=f"run exactly K cycles (at most {CYCLE_CEILING}), not to tolerance",
     )
     iteration.add_argument(
         "--tolerance",
@@ -132,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_CYCLES,
         metavar="N",
         dest="max_iterations",
-        help="cycle budget when iterating to tolerance (default %(default)s)",
+        help=f"cycle budget to tolerance (default %(default)s, at most {CYCLE_CEILING})",
     )
 
     selfcite = argparse.ArgumentParser(add_help=False)
@@ -159,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=7,
         metavar="K",
-        help="cycles for both component iterations (default 7)",
+        help=f"cycles for both component iterations (default 7, at most {CYCLE_CEILING})",
     )
     sub.add_parser(
         "normalize",

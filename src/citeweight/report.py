@@ -139,7 +139,7 @@ def _grid(
 def _iw_layout(trace: IterationTrace) -> tuple[Section, ...]:
     title = f"Influence weights ({trace.iterations_used} cycles)"
     values = trace.final.values[:, None]
-    return (_grid("iw", title, ("weight",), trace.journals, values),)
+    return (_grid("iw", title, ("weight",), trace.final.journals, values),)
 
 
 def _normalized_layout(result: NormalizedMatrix) -> tuple[Section, ...]:

@@ -79,9 +79,7 @@ def test_without_vs_with_weights_fit_near_identity_line(price):
 def test_single_cycle_ratio_identity_tight(price):
     # the first pre-normalization weight product and the single-cycle
     # power-weakness ratio are the same margin quotient
-    first_product = power_iterate(
-        pinski_narin_normalize(price), cycles=1
-    ).steps[0].unnormalized
+    first_product = power_iterate(pinski_narin_normalize(price), cycles=1).product
     ratio = power_weakness_ratio(price, 1).ratio.values
     assert np.abs(ratio / first_product - 1.0).max() <= 1e-12
     totals = margins(price)

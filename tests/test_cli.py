@@ -10,6 +10,7 @@ import pytest
 import golden_values as gv
 from citeweight import __version__, price_matrix
 from citeweight.cli import main
+from citeweight.metrics import CYCLE_CEILING
 from conftest import matrix_csv
 
 
@@ -491,6 +492,26 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("citeweight: data-error: tolerance must be finite and positive")
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (command, flag)
+            for command in ("iw", "sensitivity", "fit")
+            for flag in ("--iterations", "--max-iterations")
+        ]
+        + [("pwr", "--iterations")],
+    )
+    def test_cycle_count_above_the_ceiling_is_data_error(self, capsys, tmp_path, command, flag):
+        # J2 makes no references, which exits 3 if the data is read first
+        path = tmp_path / "silent.csv"
+        path.write_text("1,0\n2,0\n", encoding="utf-8")
+        code, out, err = run(capsys, command, str(path), flag, str(10**18))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("citeweight: data-error: ")
+        assert f"must be at most {CYCLE_CEILING}, got {10**18}" in err
 
     @pytest.mark.parametrize("indicator", ["raw_cited", "cited_citing_ratio"])
     def test_tolerance_checked_for_indicators_that_do_not_iterate(self, capsys, indicator):

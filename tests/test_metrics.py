@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from citeweight import (
     strip_self_citations,
     transpose,
 )
+from citeweight.metrics import CYCLE_CEILING
 
 
 def exact_stochastic_iteration(counts, cycles):
@@ -117,29 +119,30 @@ class TestWeightVector:
 class TestPowerIterate:
     def test_first_cycle_product_is_row_sums(self, small):
         trace = power_iterate(small, cycles=1)
-        assert np.allclose(trace.steps[0].unnormalized, small.counts.sum(axis=1))
+        assert np.allclose(trace.product, small.counts.sum(axis=1))
 
     def test_every_stochastic_vector_sums_to_one(self, price):
-        trace = power_iterate(pinski_narin_normalize(price), cycles=10)
-        for step in trace.steps:
-            assert step.stochastic.sum() == pytest.approx(1.0, abs=1e-12)
-            assert (step.stochastic >= 0).all()
+        nm = pinski_narin_normalize(price)
+        for k in range(1, 11):
+            vector = power_iterate(nm, cycles=k).final.values
+            assert vector.sum() == pytest.approx(1.0, abs=1e-12)
+            assert (vector >= 0).all()
 
     def test_first_delta_measured_against_uniform_start(self, small):
         trace = power_iterate(small, cycles=1)
         uniform = np.full(small.n, 1.0 / small.n)
-        expected = np.abs(trace.steps[0].stochastic - uniform).sum()
-        assert trace.steps[0].delta == pytest.approx(expected, rel=1e-15)
+        expected = np.abs(trace.final.values - uniform).sum()
+        assert trace.deltas[0] == pytest.approx(expected, rel=1e-15)
 
     def test_fixed_cycles_run_exactly(self, price):
         trace = power_iterate(pinski_narin_normalize(price), cycles=7)
         assert trace.iterations_used == 7
-        assert len(trace.steps) == 7
+        assert len(trace.deltas) == 7
 
     def test_tolerance_mode_converges(self, price):
         trace = power_iterate(pinski_narin_normalize(price), tolerance=1e-9)
         assert trace.converged
-        assert trace.steps[-1].delta <= 1e-9
+        assert trace.deltas[-1] <= 1e-9
         assert trace.iterations_used < 100
 
     def test_periodic_matrix_stops_at_budget_unconverged(self):
@@ -177,9 +180,8 @@ class TestPowerIterate:
 
     def test_uniform_matrix_hits_fixed_point_immediately(self):
         m = CitationMatrix(JournalSet(("A", "B", "C")), np.full((3, 3), 2.0))
-        trace = power_iterate(m, cycles=2)
-        assert np.allclose(trace.steps[0].stochastic, 1 / 3)
-        assert trace.steps[1].delta == 0.0
+        assert np.allclose(power_iterate(m, cycles=1).final.values, 1 / 3)
+        assert power_iterate(m, cycles=2).deltas[1] == 0.0
 
     def test_isolated_journal_converges_to_zero_weight(self):
         # an unconnected journal drains to weight zero instead of stalling
@@ -192,7 +194,9 @@ class TestPowerIterate:
         trace = power_iterate(pinski_narin_normalize(price), cycles=4)
         assert abs(trace.final.values.sum() - 1.0) <= 1e-12
         assert trace.final.journals == price.journals
-        assert np.array_equal(trace.final.values, trace.steps[-1].stochastic)
+        # the last product renormalized, built once: the same object on each access
+        assert np.array_equal(trace.final.values, trace.product / trace.product.sum())
+        assert trace.final is trace.final
 
     def test_argument_validation(self, small):
         with pytest.raises(CitationDataError):
@@ -220,6 +224,33 @@ class TestPowerIterate:
         assert power_iterate(small, cycles=np.int64(2)).iterations_used == 2
         assert power_iterate(small, cycles=150, max_cycles=5).iterations_used == 150
         assert power_iterate(small, max_cycles=np.int32(100)).converged
+
+    @pytest.mark.parametrize("argument", ["cycles", "max_cycles"])
+    def test_count_above_the_ceiling_is_refused_before_any_cycle(self, argument):
+        # the zero matrix vanishes at cycle 1, so this refusal ran no cycle
+        m = CitationMatrix(JournalSet(("A", "B")), np.zeros((2, 2)))
+        with pytest.raises(CitationDataError, match=f"at most {CYCLE_CEILING}, got {10**18}$"):
+            power_iterate(m, **{argument: 10**18})
+
+    def test_the_ceiling_itself_is_a_valid_budget(self, small):
+        assert power_iterate(small, max_cycles=CYCLE_CEILING).converged
+        with pytest.raises(CitationDataError, match="max_cycles must be at most"):
+            power_iterate(small, max_cycles=CYCLE_CEILING + 1)
+
+    def test_trace_memory_does_not_grow_with_the_cycle_count(self):
+        counts = np.random.default_rng(5).integers(1, 51, size=(256, 256))
+        labels = tuple(f"J{i + 1}" for i in range(256))
+        nm = pinski_narin_normalize(CitationMatrix(JournalSet(labels), counts))
+
+        def peak(cycles):
+            tracemalloc.start()
+            try:
+                power_iterate(nm, cycles=cycles)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4000) - peak(10) <= 2**20
 
 
 class TestInfluenceWeights:
@@ -281,7 +312,7 @@ class TestPowerWeakness:
         # the same identity seen from the weight recursion's side
         result = power_weakness_ratio(price, 1)
         trace = power_iterate(pinski_narin_normalize(price), cycles=1)
-        assert np.allclose(result.ratio.values, trace.steps[0].unnormalized, rtol=1e-12)
+        assert np.allclose(result.ratio.values, trace.product, rtol=1e-12)
 
     @pytest.mark.parametrize("cycles", [2, 7])
     def test_components_match_exact_rational_iteration(self, price, cycles):

@@ -113,13 +113,13 @@ def test_matrix_power_of_one_does_not_share_the_counts(price):
 
 
 def test_iteration_vectors_are_read_only_and_distinct(price):
-    trace = power_iterate(pinski_narin_normalize(price), cycles=4)
-    vectors = [v for step in trace.steps for v in (step.unnormalized, step.stochastic)]
+    nm = pinski_narin_normalize(price)
+    traces = [power_iterate(nm, cycles=k) for k in range(1, 5)]
+    vectors = [v for t in traces for v in (t.product, t.final.values)]
     assert not any(v.flags.writeable for v in vectors)
     for i, a in enumerate(vectors):
         for b in vectors[i + 1 :]:
             assert not np.shares_memory(a, b)
-    assert not trace.final.values.flags.writeable
 
 
 def test_adopted_arrays_keep_the_constructor_messages():

@@ -1,7 +1,7 @@
 """Randomized invariants, 100 generated instances per property."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from citeweight import (
@@ -43,6 +43,38 @@ def square_rows(min_value, max_value, min_n=2, max_n=5):
 positive_matrices = square_rows(1, 50).map(make_matrix)
 # zeros allowed: fine for parsing, margins, transposition, and stripping
 count_matrices = square_rows(0, 50).map(make_matrix)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Counts of 1-50 on 3-8 journals with 0-90% zero cells, whose
+    off-diagonal pattern holds a cycle through every journal (so it is
+    irreducible) and a 2-cycle and a 3-cycle through one journal (so it
+    is aperiodic without the diagonal too)."""
+    n = draw(st.integers(3, 8))
+    drawn = draw(st.lists(st.integers(1, 50), min_size=n * n, max_size=n * n))
+    drawn = np.array(drawn, dtype=float).reshape(n, n)
+    counts = drawn.copy()
+    zeros = draw(st.integers(0, n * n * 9 // 10))
+    counts.flat[draw(st.permutations(range(n * n)))[:zeros]] = 0
+    order = draw(st.permutations(range(n)))
+    hub, a, b = draw(st.permutations(range(n)))[:3]
+    cells = [*zip(order, order[1:] + order[:1]), (hub, a), (a, hub), (a, b), (b, hub)]
+    rows, cols = zip(*cells)
+    counts[rows, cols] = drawn[rows, cols]
+    return make_matrix(counts)
+
+
+def off_diagonal_null_vector(m):
+    """The weights solved directly: the null vector of
+    L = diag(off-diagonal citing totals) - off-diagonal counts, scaled to
+    sum 1 by putting a row of ones in place of the first row of L."""
+    off = m.counts - np.diag(np.diagonal(m.counts))
+    lap = np.diag(off.sum(axis=0)) - off
+    lap[0] = 1.0
+    rhs = np.zeros(m.n)
+    rhs[0] = 1.0
+    return np.linalg.solve(lap, rhs)
 
 
 @st.composite
@@ -101,11 +133,28 @@ def test_general_rescaling_changes_nothing_measurable(m, scale):
 @EXAMPLES
 @given(positive_matrices, st.integers(1, 8))
 def test_iteration_stays_stochastic(m, cycles):
-    trace = power_iterate(pinski_narin_normalize(m), cycles=cycles)
-    for step in trace.steps:
-        assert abs(step.stochastic.sum() - 1.0) <= 1e-12
-        assert (step.stochastic >= 0).all()
-    assert abs(trace.final.values.sum() - 1.0) <= 1e-12
+    nm = pinski_narin_normalize(m)
+    for k in range(1, cycles + 1):
+        vector = power_iterate(nm, cycles=k).final.values
+        assert abs(vector.sum() - 1.0) <= 1e-12
+        assert (vector >= 0).all()
+
+
+@EXAMPLES
+@given(sparse_matrices())
+def test_converged_weights_ignore_self_citations(m):
+    # the fixed point R_i w_i = sum_j C_ij w_j loses C_ii w_i on both sides,
+    # so the weights with and without self-citations solve one equation
+    traces = [
+        power_iterate(pinski_narin_normalize(x), tolerance=1e-13, max_cycles=5000)
+        for x in (m, strip_self_citations(m))
+    ]
+    # a few draws mix too slowly for the budget; too many would fail
+    # hypothesis's filter health check
+    assume(all(trace.converged for trace in traces))
+    oracle = off_diagonal_null_vector(m)
+    for trace in traces:
+        assert np.abs(trace.final.values - oracle).max() <= 1e-8
 
 
 @EXAMPLES
