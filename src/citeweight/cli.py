@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Every subcommand that reads a matrix runs one pipeline, ``_run``: load a
-CSV path, stdin ("-") or a named fixture; compute the subcommand's row of
-``_COMMANDS``; write the JSON ``meta`` block as the shared keys
-(indicator, source, transposed, version), the row's own keys and, where
-the subcommand has that flag, ``self_citations``; build the report
-sections.  ``reproduce-paper`` reruns the bundled eight-journal worked
-example with a fixed meta block.  Reports go to stdout or --output as
-table, csv or json.
+named fixture, or hand the bytes of a CSV path or stdin ("-") unchanged to
+``parse_matrix_csv``, the one decoder; compute the subcommand's row of
+``_COMMANDS``; write the JSON ``meta`` block as the shared keys (indicator,
+source, transposed, version), the row's own keys and, where the subcommand
+has that flag, ``self_citations``; build the report sections.
+``reproduce-paper`` reruns the bundled eight-journal worked example with a
+fixed meta block.  Reports go to stdout or --output as UTF-8 table, csv or
+json, whatever the locale.
 
 Exit codes: 0 success, 1 usage error, 2 malformed or unreadable data,
 3 numerical failure (non-convergence, undefined ratio, overflow).
@@ -16,7 +17,6 @@ Exit codes: 0 success, 1 usage error, 2 malformed or unreadable data,
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 from pathlib import Path
 
@@ -209,22 +209,13 @@ def _load_input(args) -> tuple[CitationMatrix, str]:
         raise _UsageError("give either a matrix path or --fixture, not both")
     if not has_path and not has_fixture:
         raise _UsageError("a matrix path (or - for stdin) or --fixture is required")
-    _check_max_size(args.max_size)
     if has_fixture:
         m = load_fixture(args.fixture)
         _check_max_size(args.max_size, m.n)
         source = f"fixture:{args.fixture}"
     else:
-        try:
-            if args.matrix == "-":
-                data = _read_stdin()
-                source = "stdin"
-            else:
-                data = Path(args.matrix).read_text(encoding="utf-8")
-                source = args.matrix
-        except UnicodeDecodeError as exc:
-            raise CitationDataError(f"input is not valid UTF-8 text: {exc}") from exc
-        m = parse_matrix_csv(data, labeled=args.labeled, max_size=args.max_size)
+        source = "stdin" if args.matrix == "-" else args.matrix
+        m = parse_matrix_csv(_read(args.matrix), labeled=args.labeled, max_size=args.max_size)
     if args.transpose:
         m = transpose(m)
     # only the subcommands that take --no-self-citations have the attribute
@@ -233,14 +224,12 @@ def _load_input(args) -> tuple[CitationMatrix, str]:
     return m, source
 
 
-def _read_stdin() -> str:
-    # UTF-8 with universal newlines, as a file is read, whatever the locale
-    # says; a text stream with no bytes beneath it (an io.StringIO put in
-    # place of sys.stdin) is read as it is
-    raw = getattr(sys.stdin, "buffer", None)
-    if raw is None:
-        return sys.stdin.read()
-    return io.TextIOWrapper(io.BytesIO(raw.read()), encoding="utf-8").read()
+def _read(path: str) -> bytes | str:
+    """The bytes of a file, or of stdin for "-"; a stdin with no bytes
+    beneath it (an io.StringIO put in its place) is read as text."""
+    if path != "-":
+        return Path(path).read_bytes()
+    return sys.stdin.buffer.read() if hasattr(sys.stdin, "buffer") else sys.stdin.read()
 
 
 def _iteration(args) -> dict:
@@ -353,8 +342,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         sections, meta = _run(args)
         text = render_sections(sections, args.format, meta)
+        # UTF-8 whatever the locale, as --output writes; a stdout with no bytes
+        # beneath it (an io.StringIO put in its place) is written as text
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8")
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()
+            sys.stdout.buffer.write(text.encode("utf-8"))
         else:
             sys.stdout.write(text)
     except _UsageError as exc:

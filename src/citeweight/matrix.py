@@ -160,15 +160,6 @@ def _check_max_size(max_size: int, rows: int = 0) -> None:
         )
 
 
-def _decode(data: str | bytes) -> str:
-    if isinstance(data, bytes):
-        try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CitationDataError(f"input is not valid UTF-8 text: {exc}") from exc
-    return data
-
-
 def parse_matrix_csv(
     data: str | bytes,
     labeled: bool = False,
@@ -206,7 +197,13 @@ def parse_matrix_csv(
     refuses, goes through the csv reader, which alone words the errors.
     """
     _check_max_size(max_size)
-    text = _decode(data)
+    if isinstance(data, bytes):
+        try:
+            # rebound, so the bytes are freed unless the caller holds them too
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CitationDataError(f"input is not valid UTF-8 text: {exc}") from exc
+    text = data
     values = None if labeled else _plain_grid(text, max_size)
     if values is not None:
         return _adopt(CitationMatrix, _numbered_journals(len(values)), values)

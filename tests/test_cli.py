@@ -10,7 +10,9 @@ import pytest
 import golden_values as gv
 from citeweight import __version__, price_matrix
 from citeweight.cli import main
+from citeweight.matrix import parse_matrix_csv
 from citeweight.metrics import CYCLE_CEILING
+from citeweight.report import FORMATS
 from conftest import matrix_csv
 
 
@@ -831,7 +833,7 @@ class TestSubprocess:
         [
             (b"\xef\xbb\xbf1,2\n3,4\n", []),
             ("x,\u00dc,B\n\u00dc,5,1\nB,2,7\n".encode(), ["--labeled"]),
-            # a line break inside a quoted label becomes "\n", as in a file
+            # a line break inside a quoted label is kept as written, as in a file
             (b'x,"A\r\nB",C\r\n"A\r\nB",5,1\r\nC,2,7\r\n', ["--labeled"]),
         ],
         ids=["byte-order mark", "non-ASCII label", "CRLF inside a label"],
@@ -852,6 +854,54 @@ class TestSubprocess:
         )
         assert (stdin.returncode, stdin.stdout) == (file.returncode, file.stdout)
         assert (stdin.returncode, stdin.stderr) == (0, b"")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'x,"A\r\nB",C\r\n"A\r\nB",5,1\r\nC,2,7\r\n',
+            b'x,"A\rB",C\r"A\rB",5,1\rC,2,7\r',
+        ],
+        ids=["CRLF inside a label", "CR inside a label"],
+    )
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_cli_reads_a_file_as_the_parser_reads_its_bytes(self, tmp_path, data, source):
+        path = tmp_path / "counts.csv"
+        path.write_bytes(data)
+        result = subprocess.run(
+            [sys.executable, "-m", "citeweight", "iw", "--labeled", "--format", "json"]
+            + ["-" if source == "stdin" else str(path)],
+            capture_output=True,
+            input=data,
+            timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        labels = [key for key in json.loads(result.stdout) if key != "meta"]
+        assert labels == list(parse_matrix_csv(path.read_bytes(), labeled=True).journals)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize(
+        "env",
+        [
+            {"PYTHONIOENCODING": "latin-1"},
+            {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+        ],
+        ids=["latin-1 stdout", "ASCII locale"],
+    )
+    def test_stdout_is_utf8_whatever_the_locale(self, tmp_path, env, fmt):
+        # JSON escapes non-ASCII labels, so it writes the same bytes either way
+        path, report = tmp_path / "counts.csv", tmp_path / "report.txt"
+        path.write_text("x,日,B\n日,5,1\nB,2,7\n", encoding="utf-8")
+        flags = ["iw", "--labeled", str(path), "--format", fmt]
+        base = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        result = subprocess.run(
+            [sys.executable, "-m", "citeweight", *flags],
+            capture_output=True,
+            env={**base, **env},
+            timeout=60,
+        )
+        assert main([*flags, "--output", str(report)]) == 0
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == report.read_bytes()
 
     def test_module_entry_point(self):
         result = run_process(["iw", "--fixture", "price", "--iterations", "7"])
