@@ -29,10 +29,8 @@ from .metrics import (
 )
 from .sensitivity import (
     INDICATORS,
-    ConvergenceProfile,
     LinearFit,
     SensitivityReport,
-    convergence_profile,
     linear_fit,
     self_citation_sensitivity,
 )
@@ -65,10 +63,8 @@ __all__ = [
     "power_weakness_ratio",
     "self_citation_diagnostics",
     "INDICATORS",
-    "ConvergenceProfile",
     "LinearFit",
     "SensitivityReport",
-    "convergence_profile",
     "linear_fit",
     "self_citation_sensitivity",
     "FitReport",

@@ -172,7 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[inputs, selfcite, output],
         help="k-step citation paths via repeated squaring",
     )
-    power.add_argument("-k", type=int, required=True, help="exponent, at least 1")
+    power.add_argument(
+        "-k", type=int, required=True, help="exponent, at least 1 and below 2**64"
+    )
     sub.add_parser(
         "diagnose",
         parents=[inputs, output],

@@ -53,10 +53,6 @@ class NormalizedMatrix:
         """Check ``arr``, make it read-only and store it as the values."""
         object.__setattr__(self, "values", _checked(self.journals, arr, 2))
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
@@ -81,7 +77,14 @@ class IterationTrace:
     """Bounded record of a power iteration run: the stochastic vector after
     the last cycle, that cycle's matrix-vector product before
     renormalization, and the L1 delta of every cycle.  Cycle k's delta is
-    ``deltas[k - 1]``, and ``iterations_used`` is ``len(deltas)``."""
+    ``deltas[k - 1]``, and ``iterations_used`` is ``len(deltas)``.
+
+    ``decay_ratios[i]`` is ``deltas[i + 1] / deltas[i]``, the ratio of the
+    pair ending at cycle i + 2, NaN where the earlier delta is 0.
+    ``geometric`` reports whether every defined ratio from cycle 3 on stays
+    below 1, the signature of clean geometric decay toward the dominant
+    eigenvector; the first two deltas still carry the imprint of the start
+    vector, so the ratio ending at cycle 2 is not judged."""
 
     final: WeightVector
     product: np.ndarray
@@ -91,6 +94,15 @@ class IterationTrace:
     @property
     def iterations_used(self) -> int:
         return len(self.deltas)
+
+    @property
+    def decay_ratios(self) -> tuple[float, ...]:
+        pairs = zip(self.deltas, self.deltas[1:])
+        return tuple(later / earlier if earlier > 0 else math.nan for earlier, later in pairs)
+
+    @property
+    def geometric(self) -> bool:
+        return all(r < 1.0 for r in self.decay_ratios[1:] if not math.isnan(r))
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,8 +4,9 @@ Every result is first turned into one or more sections (row labels, a
 header and one 2-D array) by the one layout of its type, then the chosen
 writer streams the sections one row at a time into the report text.  Each
 writer builds one ``%`` template per section, from its column count (and,
-for a table, its column widths), and formats a whole row with it; the
-bytes are those of the per-cell writers the templates replaced.
+for a table, its column widths), and formats a whole row with it.  A table
+pads labels and column names by display width, so a wide character takes
+two columns.
 Floats are written with 12 significant digits in every format; a JSON
 number is the shortest repr of the 12-digit value, and an int cell keeps
 all its digits, so the three formats carry identical values.  The JSON
@@ -23,6 +24,7 @@ import itertools
 import json
 import math
 import re
+import unicodedata
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -228,6 +230,24 @@ def build_sections(result) -> tuple[Section, ...]:
     return layout(result)
 
 
+def _width(text: str) -> int:
+    """Terminal columns of ``text``: an East Asian wide or fullwidth
+    character takes 2, a combining mark 0, any other character 1."""
+    if text.isascii():
+        return len(text)
+    return sum(
+        0
+        if unicodedata.combining(c)
+        else 2 if unicodedata.east_asian_width(c) in ("W", "F") else 1
+        for c in text
+    )
+
+
+def _gap(text: str, width: int) -> str:
+    """The spaces that pad ``text`` to ``width`` display columns."""
+    return " " * (width - _width(text))
+
+
 def _render_table(sections: Sequence[Section]) -> str:
     out = io.StringIO()
     for index, sec in enumerate(sections):
@@ -235,18 +255,19 @@ def _render_table(sections: Sequence[Section]) -> str:
             out.write("\n")
         spec, rows = _row_cells(sec)
         # size, then write, in two passes: a section's texts are never all held
-        widths = list(map(len, sec.header))
+        widths = list(map(_width, sec.header))
         probe = ",".join([f"%{spec}"] * (len(widths) - 1))
         for label, cells in zip(sec.labels, rows):
-            widths[0] = max(widths[0], len(label))
+            widths[0] = max(widths[0], _width(label))
             widths[1:] = map(max, widths[1:], map(len, (probe % cells).split(",")))
         out.write(f"{sec.title}\n{'-' * len(sec.title)}\n")
-        header = "".join(f"  %{w}s" for w in widths[1:]) % sec.header[1:]
-        out.write((sec.header[0].ljust(widths[0]) + header).rstrip() + "\n")
+        first, *names = sec.header
+        header = "".join(f"  {_gap(name, w)}{name}" for name, w in zip(names, widths[1:]))
+        out.write((first + _gap(first, widths[0]) + header).rstrip() + "\n")
         template = "".join(f"  %{w}{spec}" for w in widths[1:])
         for label, cells in zip(sec.labels, _row_cells(sec)[1]):
             # "nan" and "n/a" have one width; a label may hold "nan"
-            line = label.ljust(widths[0]) + (template % cells).replace("nan", "n/a")
+            line = label + _gap(label, widths[0]) + (template % cells).replace("nan", "n/a")
             out.write(line.rstrip() + "\n")
         out.writelines(line + "\n" for line in sec.footer)
     return out.getvalue()

@@ -1,9 +1,8 @@
 """Robustness analyses layered on the core indicators.
 
-Three tools: recompute an indicator with and without self-citations and
-report per-journal percentage shifts; profile the convergence behaviour of
-an iteration trace; and fit a least-squares line through paired indicator
-values to quantify how closely two variants agree.
+Two tools: recompute an indicator with and without self-citations and
+report per-journal percentage shifts; and fit a least-squares line through
+paired indicator values to quantify how closely two variants agree.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .matrix import CitationMatrix, JournalSet, margins, strip_self_citations
 from .metrics import (
     DEFAULT_MAX_CYCLES,
     DEFAULT_TOLERANCE,
-    IterationTrace,
     _safe_divide,
     check_iteration_args,
     influence_weights,
@@ -29,9 +27,6 @@ INDICATOR_IW = "iw"
 INDICATOR_RAW_CITED = "raw_cited"
 INDICATOR_RATIO = "cited_citing_ratio"
 INDICATORS = (INDICATOR_IW, INDICATOR_RAW_CITED, INDICATOR_RATIO)
-
-#: Cycles a trace must contain before decay ratios are meaningful.
-MIN_PROFILE_CYCLES = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,21 +44,6 @@ class SensitivityReport:
     pct_change: np.ndarray
     max_abs_pct_change: float
     mean_abs_pct_change: float
-
-
-@dataclass(frozen=True, eq=False)
-class ConvergenceProfile:
-    """Cycle-by-cycle contraction record of an iteration trace.
-
-    ``decay_ratios[i]`` is ``deltas[i + 1] / deltas[i]``, the ratio of the
-    pair ending at cycle i + 2; ``geometric`` reports whether every ratio
-    from cycle 3 on stays below 1, the signature of clean geometric decay
-    toward the dominant eigenvector.
-    """
-
-    deltas: tuple[float, ...]
-    decay_ratios: tuple[float, ...]
-    geometric: bool
 
 
 @dataclass(frozen=True)
@@ -153,32 +133,6 @@ def self_citation_sensitivity(
         max_abs_pct_change=max_abs,
         mean_abs_pct_change=mean_abs,
     )
-
-
-def convergence_profile(trace: IterationTrace) -> ConvergenceProfile:
-    """Summarize how fast an iteration trace is contracting.
-
-    Ratios pair each delta with its predecessor starting at cycle 2; the
-    ``geometric`` flag only judges ratios from cycle 3 on, because the
-    first two deltas still carry the imprint of the start vector.
-
-    Raises
-    ------
-    CitationDataError
-        If the trace has fewer than ``MIN_PROFILE_CYCLES`` cycles.
-    """
-    deltas = trace.deltas
-    if len(deltas) < MIN_PROFILE_CYCLES:
-        raise CitationDataError(
-            f"profile needs at least {MIN_PROFILE_CYCLES} cycles, trace has {len(deltas)}"
-        )
-    ratios = tuple(
-        later / earlier if earlier > 0 else math.nan
-        for earlier, later in zip(deltas, deltas[1:])
-    )
-    # ratios[0] ends at cycle 2, so the judged ones start at ratios[1]
-    geometric = all(r < 1.0 for r in ratios[1:] if not math.isnan(r))
-    return ConvergenceProfile(deltas, ratios, geometric)
 
 
 def linear_fit(x: np.ndarray, y: np.ndarray) -> LinearFit:

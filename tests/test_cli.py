@@ -213,6 +213,42 @@ class TestOtherCommands:
         assert code == 2
         assert "data-error" in err
 
+    def test_power_refuses_k_from_two_to_the_64(self, capsys, tmp_path):
+        path = tmp_path / "swap.csv"
+        path.write_text("0,1\n1,0\n", encoding="utf-8")
+        code, out, err = run(capsys, "power", str(path), "-k", str(2**64))
+        assert (code, out) == (2, "")
+        assert err == (
+            "citeweight: data-error: matrix power requires k below 2**64, got a 65-bit k\n"
+        )
+        code, out, err = run(
+            capsys, "power", str(path), "-k", str(2**64 - 1), "--format", "csv"
+        )
+        assert (code, err) == (0, "")
+        assert out == "journal,J1,J2\nJ1,0,1\nJ2,1,0\n"
+
+    @pytest.mark.parametrize("command", ["iw", "normalize"])
+    def test_table_pads_wide_and_combining_labels_by_display_width(
+        self, capsys, tmp_path, command
+    ):
+        # each wide label has an ASCII twin of the same display width, so the
+        # table of the twins is the table of the originals, letter for letter
+        twins = {"日本語": "NIHONG", "Cafe\u0301": "Cafe", "ＡＢ": "ABAB"}
+        outputs = []
+        for labels in (list(twins), list(twins.values())):
+            path = tmp_path / "counts.csv"
+            rows = [",".join(["j", *labels])]
+            rows += [f"{label},1,2,3" for label in labels]
+            path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            code, out, err = run(capsys, command, "--labeled", str(path))
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        wide, ascii_ = outputs
+        for label, twin in twins.items():
+            assert label in wide
+            wide = wide.replace(label, twin)
+        assert wide == ascii_
+
     def test_diagnose_fields(self, capsys):
         _, out, _ = run(capsys, "diagnose", "--fixture", "price", "--format", "json")
         entry = json.loads(out)["J. Biol. Chem."]

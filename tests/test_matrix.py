@@ -347,6 +347,16 @@ class TestMatrixPower:
         assert matrix_power(m, 10**8 + 1).tolist() == [[0.0, 1.0], [1.0, 0.0]]
         assert time.perf_counter() - start < 1.0
 
+    def test_k_from_two_to_the_64_is_refused_before_any_product(self):
+        m = CitationMatrix(JournalSet(("A", "B")), np.array([[0, 1], [1, 0]]))
+        assert matrix_power(m, 2**64 - 1).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        for k in (2**64, 2**64 + 1, 10**4299):
+            with pytest.raises(CitationDataError) as info:
+                matrix_power(m, k)
+            message = str(info.value)
+            assert message.startswith("matrix power requires k below 2**64, got a ")
+            assert str(k) not in message
+
     @pytest.mark.parametrize("k", range(1, 9))
     def test_square_and_multiply_matches_repeated_products(self, small, k):
         expected = small.counts

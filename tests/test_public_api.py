@@ -1,5 +1,5 @@
-"""The documented surface: every exported name exists, and the README's
-library example runs as written."""
+"""The documented surface: the exact set of exported names, each of which
+exists, and the README's library example runs as written."""
 
 import re
 from pathlib import Path
@@ -7,6 +7,51 @@ from pathlib import Path
 import citeweight
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+# A change to the public API is a change to this set.
+PUBLIC_NAMES = {
+    "CitationDataError",
+    "NumericalError",
+    "DEFAULT_MAX_SIZE",
+    "CitationMatrix",
+    "JournalSet",
+    "MarginTotals",
+    "margins",
+    "matrix_power",
+    "parse_matrix_csv",
+    "strip_self_citations",
+    "transpose",
+    "FIXTURES",
+    "load_fixture",
+    "price_matrix",
+    "IterationTrace",
+    "NormalizedMatrix",
+    "PowerWeaknessResult",
+    "SelfCitationDiagnostics",
+    "WeightVector",
+    "influence_weights",
+    "pinski_narin_normalize",
+    "power_iterate",
+    "power_weakness_ratio",
+    "self_citation_diagnostics",
+    "INDICATORS",
+    "LinearFit",
+    "SensitivityReport",
+    "linear_fit",
+    "self_citation_sensitivity",
+    "FitReport",
+    "Section",
+    "build_sections",
+    "render_sections",
+    "main",
+    "__version__",
+}
+
+
+def test_exported_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 35
+    assert set(citeweight.__all__) == PUBLIC_NAMES
 
 
 def test_every_exported_name_resolves():
@@ -23,4 +68,4 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(compile(blocks[0], "README.md (Library)", "exec"), namespace)
     assert namespace["fit"].n_points == 8
-    assert namespace["profile"].geometric
+    assert namespace["trace"].geometric

@@ -5,13 +5,15 @@ reference below keeps the tuple-of-cells rows and formats each cell
 through an isinstance ladder.  Both must give the same bytes in every
 format, or, where a single-section JSON report has a row named "meta",
 the writer must refuse instead of dropping that row.  Labels and column
-names are drawn unique within a section, as ``Section`` requires.
+names are drawn unique within a section, as ``Section`` requires.  The
+reference pads table cells by display width, as a terminal shows them.
 """
 
 import csv
 import io
 import json
 import math
+import unicodedata
 
 import numpy as np
 import pytest
@@ -59,7 +61,7 @@ CELLS = st.one_of(FLOATS, st.integers(-(10**20), 10**20), st.booleans())
 LABELS = ("meta", "nan", "Acta, Series A", 'The "Review"', "a\nb", "Ünï", "日本", "")
 TEXT = st.one_of(
     st.sampled_from(LABELS),
-    st.text(alphabet=st.sampled_from('ab, "\n\r\t-é日'), max_size=6),
+    st.text(alphabet=st.sampled_from('ab, "\n\r\t-é日\u0301Ａ'), max_size=6),
 )
 
 
@@ -117,6 +119,16 @@ def reference_rows(sec):
     )
 
 
+def reference_width(text):
+    # terminal columns: East Asian wide or fullwidth 2, combining mark 0
+    return sum(
+        0 if unicodedata.combining(c)
+        else 2 if unicodedata.east_asian_width(c) in ("W", "F")
+        else 1
+        for c in text
+    )
+
+
 def reference_table(sections):
     blocks = []
     for sec in sections:
@@ -124,12 +136,15 @@ def reference_table(sections):
             [reference_cell_text(cell, "n/a") for cell in row]
             for row in reference_rows(sec)
         ]
-        widths = [max(len(r[c]) for r in grid) for c in range(len(sec.header))]
+        widths = [
+            max(reference_width(r[c]) for r in grid) for c in range(len(sec.header))
+        ]
         lines = [sec.title, "-" * len(sec.title)]
         for row in grid:
+            gaps = [" " * (w - reference_width(cell)) for w, cell in zip(widths, row)]
             padded = [
-                row[0].ljust(widths[0]),
-                *(cell.rjust(widths[c + 1]) for c, cell in enumerate(row[1:])),
+                row[0] + gaps[0],
+                *(gap + cell for gap, cell in zip(gaps[1:], row[1:])),
             ]
             lines.append("  ".join(padded).rstrip())
         lines.extend(sec.footer)

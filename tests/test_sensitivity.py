@@ -9,7 +9,6 @@ from citeweight import (
     CitationMatrix,
     JournalSet,
     NumericalError,
-    convergence_profile,
     influence_weights,
     linear_fit,
     pinski_narin_normalize,
@@ -119,57 +118,52 @@ class TestSensitivity:
 class TestConvergenceProfile:
     def test_deltas_shrink_geometrically(self, price):
         trace = power_iterate(pinski_narin_normalize(price), cycles=10)
-        profile = convergence_profile(trace)
-        assert profile.deltas == trace.deltas
         # strict decrease from cycle 3 on
-        for earlier, later in zip(profile.deltas[2:], profile.deltas[3:]):
+        for earlier, later in zip(trace.deltas[2:], trace.deltas[3:]):
             assert later < earlier
-        assert profile.geometric
+        assert trace.geometric
 
     def test_one_ratio_per_cycle_pair(self, price):
         trace = power_iterate(pinski_narin_normalize(price), cycles=6)
-        profile = convergence_profile(trace)
-        assert len(profile.decay_ratios) == 5
+        assert len(trace.decay_ratios) == 5
 
     def test_ratio_ending_at_cycle_two_is_not_judged(self):
         # the delta rises from cycle 1 to 2, then decays
         counts = np.array([[0, 0, 0], [0, 1, 1], [3, 1, 0]])
         m = CitationMatrix(JournalSet(("A", "B", "C")), counts)
-        profile = convergence_profile(power_iterate(pinski_narin_normalize(m), cycles=5))
-        assert profile.decay_ratios[0] > 1
-        assert all(r < 1 for r in profile.decay_ratios[1:])
-        assert profile.geometric
+        trace = power_iterate(pinski_narin_normalize(m), cycles=5)
+        assert trace.decay_ratios[0] > 1
+        assert all(r < 1 for r in trace.decay_ratios[1:])
+        assert trace.geometric
 
     def test_late_ratio_approaches_frozen_value(self, price):
         trace = power_iterate(pinski_narin_normalize(price), cycles=10)
-        profile = convergence_profile(trace)
-        assert profile.decay_ratios[-1] == pytest.approx(gv.LATE_DELTA_RATIO, abs=1e-4)
+        assert trace.decay_ratios[-1] == pytest.approx(gv.LATE_DELTA_RATIO, abs=1e-4)
 
     def test_late_ratio_tracks_subdominant_eigenvalue(self, price):
         trace = power_iterate(pinski_narin_normalize(price), cycles=10)
-        profile = convergence_profile(trace)
-        assert profile.decay_ratios[-1] == pytest.approx(
-            gv.SUBDOMINANT_RATIO, rel=0.05
-        )
+        assert trace.decay_ratios[-1] == pytest.approx(gv.SUBDOMINANT_RATIO, rel=0.05)
 
-    def test_needs_three_cycles(self, price):
-        trace = power_iterate(pinski_narin_normalize(price), cycles=2)
-        with pytest.raises(CitationDataError, match="3"):
-            convergence_profile(trace)
+    def test_short_trace_has_fewer_ratios_and_is_vacuously_geometric(self, price):
+        normalized = pinski_narin_normalize(price)
+        one = power_iterate(normalized, cycles=1)
+        assert one.decay_ratios == ()
+        assert one.geometric
+        two = power_iterate(normalized, cycles=2)
+        assert two.decay_ratios == (two.deltas[1] / two.deltas[0],)
+        assert two.geometric  # the one ratio ends at cycle 2 and is not judged
 
     def test_immediate_fixed_point_gives_nan_ratios(self):
         # uniform matrix lands on the fixed point in one cycle
         m = CitationMatrix(JournalSet(("A", "B")), np.array([[1, 1], [1, 1]]))
         trace = power_iterate(pinski_narin_normalize(m), cycles=3)
-        profile = convergence_profile(trace)
-        assert all(math.isnan(r) for r in profile.decay_ratios)
-        assert profile.geometric  # vacuously: no judged ratios
+        assert all(math.isnan(r) for r in trace.decay_ratios)
+        assert trace.geometric  # vacuously: no judged ratios
 
     def test_oscillation_is_not_geometric(self):
         m = CitationMatrix(JournalSet(("A", "B")), np.array([[0, 2], [1, 0]]))
         trace = power_iterate(pinski_narin_normalize(m), cycles=8)
-        profile = convergence_profile(trace)
-        assert not profile.geometric
+        assert not trace.geometric
 
 
 class TestLinearFit:
