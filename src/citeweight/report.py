@@ -233,8 +233,6 @@ def build_sections(result) -> tuple[Section, ...]:
 def _width(text: str) -> int:
     """Terminal columns of ``text``: an East Asian wide or fullwidth
     character takes 2, a combining mark 0, any other character 1."""
-    if text.isascii():
-        return len(text)
     return sum(
         0
         if unicodedata.combining(c)
