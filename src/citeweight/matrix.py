@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,10 +83,7 @@ class CitationMatrix:
     counts: np.ndarray
 
     def __post_init__(self):
-        self._own(np.array(self.counts, dtype=float))
-
-    def _own(self, arr: np.ndarray) -> None:
-        """Check ``arr``, make it read-only and store it as the counts."""
+        arr = np.array(self.counts, dtype=float)
         if arr.shape == (1, 1):
             raise CitationDataError("matrix must be at least 2x2, got 1x1")
         object.__setattr__(self, "counts", _checked(self.journals, arr, 2))
@@ -120,11 +117,14 @@ def _first_cell(mask: np.ndarray) -> str:
 
 
 def _adopt(cls, journals: JournalSet, values: np.ndarray):
-    """A ``cls`` matrix wrapping a float array the package has just built and
-    nothing else holds: the constructor's checks, without its defensive copy."""
+    """A ``cls`` matrix wrapping ``values``, a float array nothing else holds,
+    made read-only but neither copied nor scanned: its cells were checked, or
+    derived from checked cells in a way that cannot make one negative or
+    non-finite (a zeroed diagonal, a transpose, a guarded division)."""
+    values.setflags(write=False)
     m = object.__new__(cls)
-    object.__setattr__(m, "journals", journals)
-    m._own(np.asarray(values, dtype=float))
+    for field, value in zip(fields(cls), (journals, values)):
+        object.__setattr__(m, field.name, value)
     return m
 
 
@@ -206,7 +206,8 @@ def parse_matrix_csv(
     text = data
     values = None if labeled else _plain_grid(text, max_size)
     if values is not None:
-        return _adopt(CitationMatrix, _numbered_journals(len(values)), values)
+        journals = _numbered_journals(len(values))
+        return _adopt(CitationMatrix, journals, _checked(journals, values, 2))
     rows = []
     # The reader gets one line at a time, with its ending, so no second copy
     # of the text is held; a leading byte-order mark is skipped.
@@ -256,8 +257,7 @@ def parse_matrix_csv(
         raise CitationDataError(f"matrix must be at least 2x2, got {n}x{n}")
 
     # Only the conversion sits in the try: CitationDataError is a
-    # ValueError, and the finite and sign checks of CitationMatrix must not
-    # be caught here.
+    # ValueError, and the finite and sign checks must not be caught here.
     try:
         values = np.fromiter(
             map(float, itertools.chain.from_iterable(cells)), dtype=float, count=n * n
@@ -265,7 +265,7 @@ def parse_matrix_csv(
     except ValueError:
         _raise_first_non_numeric(cells)
         raise
-    return _adopt(CitationMatrix, label_set, values)
+    return _adopt(CitationMatrix, label_set, _checked(label_set, values, 2))
 
 
 def _numbered_journals(n: int) -> JournalSet:

@@ -22,6 +22,7 @@ from .matrix import (
     _checked,
     _is_positive_count,
     margins,
+    strip_self_citations,
     transpose,
 )
 
@@ -47,11 +48,8 @@ class NormalizedMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        self._own(np.array(self.values, dtype=float))
-
-    def _own(self, arr: np.ndarray) -> None:
-        """Check ``arr``, make it read-only and store it as the values."""
-        object.__setattr__(self, "values", _checked(self.journals, arr, 2))
+        arr = _checked(self.journals, np.array(self.values, dtype=float), 2)
+        object.__setattr__(self, "values", arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,22 +360,23 @@ def power_weakness_ratio(m: CitationMatrix, cycles: int) -> PowerWeaknessResult:
 def self_citation_diagnostics(m: CitationMatrix) -> SelfCitationDiagnostics:
     """Split each journal's citation traffic into self and cross terms.
 
-    Zero-denominator rates and ratios come back as NaN instead of raising,
-    since a journal with no received citations or no references is valid
-    data.
+    The cross terms sum the off-diagonal cells (the margins of
+    :func:`strip_self_citations`, as ``sensitivity`` reports them); a total
+    minus its diagonal cell would cancel where self-citations dominate.
+    Zero-denominator rates and ratios are NaN, since a journal with no
+    received citations or no references is valid data.
     """
     totals = margins(m)
+    others = margins(strip_self_citations(m))
     self_counts = np.diagonal(m.counts).copy()
-    cited_by_others = totals.cited_totals - self_counts
-    citing_others = totals.citing_totals - self_counts
     arrays = dict(
         self_citations=self_counts,
-        cited_by_others=cited_by_others,
-        citing_others=citing_others,
+        cited_by_others=others.cited_totals,
+        citing_others=others.citing_totals,
         self_cited_rate=_safe_divide(self_counts, totals.cited_totals),
         self_citing_rate=_safe_divide(self_counts, totals.citing_totals),
         cited_citing_ratio_with=_safe_divide(totals.cited_totals, totals.citing_totals),
-        cited_citing_ratio_without=_safe_divide(cited_by_others, citing_others),
+        cited_citing_ratio_without=_safe_divide(others.cited_totals, others.citing_totals),
     )
     for values in arrays.values():
         values.setflags(write=False)

@@ -499,6 +499,24 @@ class TestExitCodes:
         assert code == 3
         assert "did not converge" in err
 
+    def test_default_cycle_budget_is_100(self, capsys, tmp_path):
+        path = tmp_path / "cycle.csv"
+        path.write_text("0,2\n1,0\n", encoding="utf-8")
+        code, _, err = run(capsys, "iw", str(path))
+        assert code == 3
+        assert "did not converge within 100 cycles" in err
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [(1025, "more than 1024 rows"), (1024, "must be square, got 1024 rows x 2 columns")],
+    )
+    def test_default_size_cap_is_1024_rows(self, capsys, tmp_path, rows, message):
+        path = tmp_path / "tall.csv"
+        path.write_text("0,0\n" * rows, encoding="utf-8")
+        code, _, err = run(capsys, "iw", str(path))
+        assert code == 2
+        assert message in err
+
     @pytest.mark.parametrize("command", ["iw", "sensitivity", "fit"])
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_every_iterating_command_rejects_non_convergence(
@@ -812,6 +830,35 @@ def test_raw_cited_change_near_the_float_limit(capsys, tmp_path, text, expected)
     )
     assert (code, err) == (0, "")
     assert [line.split(",")[-1] for line in out.splitlines()[1:3]] == [expected] * 2
+
+
+@pytest.mark.parametrize(
+    "text, others, ratios",
+    [
+        # a total minus its diagonal cell would read 9.00000000004e-06 and a
+        # ratio of 3.00000000004
+        ("0.6,9e-06\n3e-06,0.5\n", ["9e-06", "3e-06"], ["3", "0.333333333333"]),
+        # and here 0 and an empty ratio, as 1e17 + 1 rounds to 1e17
+        ("1e17,1\n1,1e17\n", ["1", "1"], ["1", "1"]),
+    ],
+)
+def test_diagnosed_cross_traffic_is_what_sensitivity_reports(
+    capsys, tmp_path, text, others, ratios
+):
+    path = tmp_path / "counts.csv"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "diagnose", str(path), "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[2] for row in rows] == others  # cited_by_others
+    assert [row[3] for row in rows] == others[::-1]  # citing_others
+    assert [row[7] for row in rows] == ratios  # cited_citing_ratio_without
+    for indicator, expected in (("raw_cited", others), ("cited_citing_ratio", ratios)):
+        code, out, err = run(
+            capsys, "sensitivity", str(path), "--indicator", indicator, "--format", "csv"
+        )
+        assert (code, err) == (0, "")
+        assert [line.split(",")[2] for line in out.splitlines()[1:]] == expected
 
 
 def test_overflowed_power_weakness_ratio_is_a_numerical_error(capsys, tmp_path):

@@ -21,7 +21,7 @@ from citeweight import (
     strip_self_citations,
     transpose,
 )
-from citeweight.metrics import CYCLE_CEILING
+from citeweight.metrics import CYCLE_CEILING, influence_trace
 
 
 def exact_stochastic_iteration(counts, cycles):
@@ -274,6 +274,14 @@ class TestInfluenceWeights:
         full_rows = pinski_narin_normalize(price).values.sum(axis=1)
         stripped_rows = pinski_narin_normalize(stripped).values.sum(axis=1)
         assert not np.allclose(full_rows, stripped_rows, rtol=1e-3)
+
+    def test_tolerance_equal_to_a_delta_stops_there_converged(self, price):
+        # the loop stops at a delta equal to the tolerance, so the flag and
+        # the tolerance-mode check must count that delta as converged
+        delta = power_iterate(pinski_narin_normalize(price), cycles=3).deltas[2]
+        trace = influence_trace(price, tolerance=delta)
+        assert trace.iterations_used == 3
+        assert trace.converged
 
     def test_tolerance_mode_raises_when_not_converged(self):
         m = CitationMatrix(JournalSet(("A", "B")), np.array([[0, 2], [1, 0]]))

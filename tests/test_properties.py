@@ -1,5 +1,11 @@
 """Randomized invariants, 100 generated instances per property."""
 
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,10 +20,14 @@ from citeweight import (
     pinski_narin_normalize,
     power_iterate,
     power_weakness_ratio,
+    self_citation_diagnostics,
     self_citation_sensitivity,
     strip_self_citations,
     transpose,
 )
+from citeweight.cli import main
+from citeweight.report import FORMATS
+from citeweight.sensitivity import INDICATORS
 from conftest import matrix_csv
 
 EXAMPLES = settings(max_examples=100, deadline=None)
@@ -266,3 +276,87 @@ def test_first_cycle_ratio_equals_margin_quotient(m):
     totals = margins(m)
     expected = totals.cited_totals / totals.citing_totals
     assert np.allclose(result.ratio.values, expected, rtol=1e-12)
+
+
+@st.composite
+def dominant_diagonal_matrices(draw):
+    """Real-valued cells on 2-5 journals: a diagonal from 0.01 to 1, and
+    off-diagonal cells from 0.01 to 1 scaled by 1e-2 to 1e-6, so that
+    self-citations make up almost every total."""
+    n = draw(st.integers(2, 5))
+    unit = st.floats(0.01, 1.0)
+    counts = np.array(draw(st.lists(unit, min_size=n * n, max_size=n * n))).reshape(n, n)
+    counts *= draw(st.sampled_from([1e-2, 1e-3, 1e-4, 1e-5, 1e-6]))
+    np.fill_diagonal(counts, draw(st.lists(unit, min_size=n, max_size=n)))
+    return make_matrix(counts)
+
+
+@EXAMPLES
+@given(dominant_diagonal_matrices())
+def test_diagnosed_cross_traffic_is_the_stripped_margins(m):
+    # a total minus its diagonal cell cancels when the diagonal dominates
+    diagnostics = self_citation_diagnostics(m)
+    stripped = margins(strip_self_citations(m))
+    assert np.array_equal(diagnostics.cited_by_others, stripped.cited_totals)
+    assert np.array_equal(diagnostics.citing_others, stripped.citing_totals)
+    raw = self_citation_sensitivity(m, "raw_cited")
+    ratio = self_citation_sensitivity(m, "cited_citing_ratio")
+    assert np.array_equal(raw.without_values, diagnostics.cited_by_others)
+    assert np.array_equal(ratio.without_values, stripped.cited_totals / stripped.citing_totals)
+
+
+@st.composite
+def zero_heavy_matrices(draw):
+    """Counts of 1-9 on 2-6 journals with at least 40% zero cells, and up
+    to two extreme cells from 1e-300 to 1.7e308."""
+    n = draw(st.integers(2, 6))
+    counts = np.array(draw(st.lists(st.integers(1, 9), min_size=n * n, max_size=n * n)), float)
+    cells = draw(st.permutations(range(n * n)))
+    extremes = draw(st.lists(st.floats(1e-300, 1.7e308), max_size=2))
+    counts[cells[: len(extremes)]] = extremes
+    zeros = draw(st.integers(-(-4 * n * n // 10), n * n))
+    counts[cells[n * n - zeros :]] = 0
+    return make_matrix(counts.reshape(n, n))
+
+
+CLI_FORMS = (
+    ["iw"],
+    ["iw", "--no-self-citations"],
+    ["pwr"],
+    ["normalize"],
+    ["power", "-k", "2"],
+    ["diagnose"],
+    *(["sensitivity", "--indicator", indicator] for indicator in INDICATORS),
+    ["fit"],
+)
+
+
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@EXAMPLES
+@given(zero_heavy_matrices())
+def test_cli_contract_holds_on_zero_heavy_input(m):
+    # every subcommand and format: a known exit code; on failure one stderr
+    # line and no report; JSON in the canonical form; and no tolerance-mode
+    # iw run reports success without converging
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counts.csv"
+        path.write_text(matrix_csv(m), encoding="utf-8")
+        for form in CLI_FORMS:
+            for fmt in FORMATS:
+                code, out, err = run_cli(*form, str(path), "--format", fmt)
+                assert code in (0, 2, 3), (form, fmt, err)
+                if code != 0:
+                    assert out == "" and len(err.splitlines()) == 1, (form, fmt, err)
+                    continue
+                assert err == "", (form, fmt)
+                if fmt == "json":
+                    payload = json.loads(out)
+                    assert out == json.dumps(payload, indent=2, allow_nan=False) + "\n"
+                    if form[0] == "iw":
+                        assert payload["meta"]["converged"] is True

@@ -7,8 +7,10 @@ import golden_values as gv
 from citeweight import (
     CitationDataError,
     CitationMatrix,
+    IterationTrace,
     JournalSet,
     NumericalError,
+    WeightVector,
     influence_weights,
     linear_fit,
     pinski_narin_normalize,
@@ -135,6 +137,12 @@ class TestConvergenceProfile:
         assert trace.decay_ratios[0] > 1
         assert all(r < 1 for r in trace.decay_ratios[1:])
         assert trace.geometric
+
+    def test_ratio_ending_at_cycle_three_is_judged(self):
+        final = WeightVector(JournalSet(("A", "B")), np.array([0.5, 0.5]))
+        trace = IterationTrace(final, np.array([1.0, 1.0]), (1.0, 0.5, 0.6, 0.3), False)
+        assert trace.decay_ratios == (0.5, 1.2, 0.5)
+        assert not trace.geometric
 
     def test_late_ratio_approaches_frozen_value(self, price):
         trace = power_iterate(pinski_narin_normalize(price), cycles=10)
