@@ -14,7 +14,7 @@ from .matrix import (
     strip_self_citations,
     transpose,
 )
-from .fixtures import FIXTURES, load_fixture, price_matrix
+from .fixtures import price_matrix
 from .metrics import (
     IterationTrace,
     NormalizedMatrix,
@@ -35,7 +35,6 @@ from .sensitivity import (
     self_citation_sensitivity,
 )
 from .report import FitReport, Section, build_sections, render_sections
-from .cli import main
 
 __all__ = [
     "CitationDataError",
@@ -49,8 +48,6 @@ __all__ = [
     "parse_matrix_csv",
     "strip_self_citations",
     "transpose",
-    "FIXTURES",
-    "load_fixture",
     "price_matrix",
     "IterationTrace",
     "NormalizedMatrix",
@@ -71,6 +68,5 @@ __all__ = [
     "Section",
     "build_sections",
     "render_sections",
-    "main",
     "__version__",
 ]

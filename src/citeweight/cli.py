@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 usage error, 2 malformed or unreadable data,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -62,11 +63,13 @@ class _Parser(argparse.ArgumentParser):
     # spec'd exit contract reserves 2 for data errors, so argparse's
     # default usage-failure code cannot be used
     def error(self, message):
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"{PROG}: usage-error: {message}\n")
         raise SystemExit(1)
 
 
+# parse_args keeps no state on the parser, so every main() call in a process
+# shares the one built here on the first call, not at import
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog=PROG,

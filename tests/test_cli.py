@@ -9,7 +9,7 @@ import pytest
 
 import golden_values as gv
 from citeweight import __version__, price_matrix
-from citeweight.cli import main
+from citeweight.cli import build_parser, main
 from citeweight.matrix import parse_matrix_csv
 from citeweight.metrics import CYCLE_CEILING
 from citeweight.report import FORMATS
@@ -756,6 +756,45 @@ def test_meta_block_of_every_subcommand(capsys, command, expected):
     assert meta == expected
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def _iw_meta(iterations=26, self_citations=True, **extra):
+    return _meta(
+        "iw",
+        **extra,
+        iterations=iterations,
+        tolerance=1e-9,
+        converged=True,
+        self_citations=self_citations,
+    )
+
+
+# Each call reuses the one parser, so a flag given to one call must not reach
+# the next.  None marks a usage error.
+REUSE_SEQUENCE = [
+    (["iw", "--no-self-citations"], _iw_meta(iterations=20, self_citations=False)),
+    (["iw"], _iw_meta()),
+    (["pwr", "--iterations", "3"], _meta("pwr", iterations=3, self_citations=True)),
+    (["pwr"], _meta("pwr", iterations=7, self_citations=True)),
+    (["iw", "--bogus"], None),
+    (["iw", "--transpose"], _iw_meta(iterations=22, transposed=True)),
+    (["iw"], _iw_meta()),
+]
+
+
+def test_repeated_calls_share_no_flags(capsys):
+    for command, expected in REUSE_SEQUENCE:
+        code, out, err = run(capsys, *command, "--fixture", "price", "--format", "json")
+        if expected is None:
+            assert (code, out, len(err.splitlines())) == (1, "", 1)
+            continue
+        assert (code, err) == (0, ""), command
+        meta = json.loads(out)["meta"]
+        assert (list(meta), meta) == (list(expected), expected), command
+
+
 # Exit code of each subcommand on each condition.  Columns, in order: iw,
 # pwr, normalize, power -k 3, diagnose, sensitivity with --indicator iw,
 # raw_cited and cited_citing_ratio, and fit.  A code holds in every format.
@@ -794,6 +833,8 @@ EXIT_CODE_TABLE = {
     "above max size, fixture": (None, ["--fixture", "price", "--max-size", "4"], "222222222"),
     # written with surrogateescape, so the file holds the byte 0xff
     "not UTF-8": ("\udcff,1\n1,1\n", [], "222222222"),
+    "unknown flag": (None, ["--fixture", "price", "--bogus"], "111111111"),
+    "no input": (None, [], "111111111"),
 }
 
 

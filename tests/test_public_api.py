@@ -1,7 +1,10 @@
 """The documented surface: the exact set of exported names, each of which
-exists, and the README's library example runs as written."""
+exists, importing the package loads none of the CLI, and the README's
+library example runs as written."""
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import citeweight
@@ -22,8 +25,6 @@ PUBLIC_NAMES = {
     "parse_matrix_csv",
     "strip_self_citations",
     "transpose",
-    "FIXTURES",
-    "load_fixture",
     "price_matrix",
     "IterationTrace",
     "NormalizedMatrix",
@@ -44,13 +45,12 @@ PUBLIC_NAMES = {
     "Section",
     "build_sections",
     "render_sections",
-    "main",
     "__version__",
 }
 
 
 def test_exported_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 35
+    assert len(PUBLIC_NAMES) == 32
     assert set(citeweight.__all__) == PUBLIC_NAMES
 
 
@@ -58,6 +58,21 @@ def test_every_exported_name_resolves():
     assert len(set(citeweight.__all__)) == len(citeweight.__all__)
     missing = [name for name in citeweight.__all__ if not hasattr(citeweight, name)]
     assert missing == []
+
+
+def test_import_leaves_the_cli_unloaded():
+    check = (
+        "import sys, citeweight; "
+        "print(sorted({'citeweight.cli', 'argparse'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", check],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", "[]\n")
 
 
 def test_readme_library_example_runs():
