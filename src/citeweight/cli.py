@@ -10,8 +10,9 @@ has that flag, ``self_citations``; build the report sections.
 fixed meta block.  Reports go to stdout or --output as UTF-8 table, csv or
 json, whatever the locale.
 
-Exit codes: 0 success, 1 usage error, 2 malformed or unreadable data,
-3 numerical failure (non-convergence, undefined ratio, overflow).
+Exit codes: 0 success, 1 usage error (the parser refused the command line),
+2 malformed or unreadable data, 3 numerical failure (non-convergence,
+undefined ratio, overflow).
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from . import __version__
 from .errors import CitationDataError, NumericalError
-from .fixtures import FIXTURES, load_fixture, price_matrix
+from .fixtures import FIXTURES, price_matrix
 from .matrix import (
     DEFAULT_MAX_SIZE,
     CitationMatrix,
@@ -55,10 +55,6 @@ from .sensitivity import INDICATOR_IW, INDICATORS, linear_fit, self_citation_sen
 PROG = "citeweight"
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # spec'd exit contract reserves 2 for data errors, so argparse's
     # default usage-failure code cannot be used
@@ -81,13 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     inputs = argparse.ArgumentParser(add_help=False)
-    inputs.add_argument(
+    source = inputs.add_mutually_exclusive_group(required=True)
+    source.add_argument(
         "matrix", nargs="?", help="path of a CSV citation matrix, or - for stdin"
     )
-    inputs.add_argument(
-        "--fixture",
-        metavar="NAME",
-        help=f"bundled dataset instead of a file ({', '.join(sorted(FIXTURES))})",
+    source.add_argument(
+        "--fixture", choices=sorted(FIXTURES), help="bundled dataset instead of a file"
     )
     inputs.add_argument(
         "--labeled",
@@ -208,14 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_input(args) -> tuple[CitationMatrix, str]:
-    has_path = args.matrix is not None
-    has_fixture = args.fixture is not None
-    if has_path and has_fixture:
-        raise _UsageError("give either a matrix path or --fixture, not both")
-    if not has_path and not has_fixture:
-        raise _UsageError("a matrix path (or - for stdin) or --fixture is required")
-    if has_fixture:
-        m = load_fixture(args.fixture)
+    # the parser lets exactly one of the two through
+    if args.fixture is not None:
+        m = FIXTURES[args.fixture]()
         _check_max_size(args.max_size, m.n)
         source = f"fixture:{args.fixture}"
     else:
@@ -233,7 +223,8 @@ def _read(path: str) -> bytes | str:
     """The bytes of a file, or of stdin for "-"; a stdin with no bytes
     beneath it (an io.StringIO put in its place) is read as text."""
     if path != "-":
-        return Path(path).read_bytes()
+        with open(path, "rb") as file:
+            return file.read()
     return sys.stdin.buffer.read() if hasattr(sys.stdin, "buffer") else sys.stdin.read()
 
 
@@ -349,16 +340,15 @@ def main(argv: list[str] | None = None) -> int:
         text = render_sections(sections, args.format, meta)
         # UTF-8 whatever the locale, as --output writes; a stdout with no bytes
         # beneath it (an io.StringIO put in its place) is written as text
-        if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
+        # "" is a path too: it fails to open, as an input path of "" does
+        if args.output is not None:
+            with open(args.output, "w", encoding="utf-8") as file:
+                file.write(text)
         elif hasattr(sys.stdout, "buffer"):
             sys.stdout.flush()
             sys.stdout.buffer.write(text.encode("utf-8"))
         else:
             sys.stdout.write(text)
-    except _UsageError as exc:
-        sys.stderr.write(f"{PROG}: usage-error: {exc}\n")
-        return 1
     except (CitationDataError, OSError) as exc:
         sys.stderr.write(f"{PROG}: data-error: {exc}\n")
         return 2

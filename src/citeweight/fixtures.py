@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CitationDataError
 from .matrix import CitationMatrix, JournalSet
 
 PRICE_LABELS = (
@@ -44,13 +43,3 @@ def price_matrix() -> CitationMatrix:
 
 
 FIXTURES = {"price": price_matrix}
-
-
-def load_fixture(name: str) -> CitationMatrix:
-    """Return a bundled matrix by name; see ``FIXTURES`` for the catalog."""
-    try:
-        builder = FIXTURES[name]
-    except KeyError:
-        known = ", ".join(sorted(FIXTURES))
-        raise CitationDataError(f"unknown fixture {name!r} (available: {known})") from None
-    return builder()

@@ -25,7 +25,7 @@ import json
 import math
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -165,21 +165,12 @@ def _pwr_layout(result: PowerWeaknessResult) -> tuple[Section, ...]:
     return (_grid("pwr", title, columns, result.power.journals, values),)
 
 
-_DIAGNOSTIC_COLUMNS = (
-    "self_citations",
-    "cited_by_others",
-    "citing_others",
-    "self_cited_rate",
-    "self_citing_rate",
-    "cited_citing_ratio_with",
-    "cited_citing_ratio_without",
-)
-
-
 def _diagnostics_layout(result: SelfCitationDiagnostics) -> tuple[Section, ...]:
-    values = np.column_stack([getattr(result, name) for name in _DIAGNOSTIC_COLUMNS])
+    # one column per field after ``journals``, in declaration order
+    columns = tuple(field.name for field in fields(result)[1:])
+    values = np.column_stack([getattr(result, name) for name in columns])
     title = "Self-citation diagnostics"
-    return (_grid("diagnostics", title, _DIAGNOSTIC_COLUMNS, result.journals, values),)
+    return (_grid("diagnostics", title, columns, result.journals, values),)
 
 
 def _sensitivity_layout(result: SensitivityReport) -> tuple[Section, ...]:

@@ -445,7 +445,7 @@ class TestExitCodes:
     def test_both_inputs_is_usage_error(self, capsys, price_csv):
         code, _, err = run(capsys, "iw", price_csv, "--fixture", "price")
         assert code == 1
-        assert "not both" in err
+        assert "not allowed with" in err
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")
@@ -460,10 +460,10 @@ class TestExitCodes:
         code, _, _ = run(capsys, "iw", "--fixture", "price", "--format", "xml")
         assert code == 1
 
-    def test_unknown_fixture_is_data_error(self, capsys):
+    def test_unknown_fixture_is_usage_error(self, capsys):
         code, _, err = run(capsys, "iw", "--fixture", "unobtainium")
-        assert code == 2
-        assert err.startswith("citeweight: data-error:")
+        assert code == 1
+        assert err.startswith("citeweight: usage-error:")
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "iw", str(tmp_path / "absent.csv"))
@@ -600,6 +600,16 @@ class TestExitCodes:
         )
         assert code == 2
         assert "data-error" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--fixture", "price", "--output", ""], [""]],
+        ids=["empty output path", "empty input path"],
+    )
+    def test_empty_path_is_data_error(self, capsys, args):
+        code, out, err = run(capsys, "iw", *args)
+        assert (code, out) == (2, "")
+        assert err == "citeweight: data-error: [Errno 2] No such file or directory: ''\n"
 
     def test_max_size_below_two_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "counts.csv"
@@ -760,6 +770,18 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+# argparse formats a help string only when it prints it, so a stray % in one
+# shows only here
+@pytest.mark.parametrize(
+    "command",
+    ["iw", "pwr", "normalize", "power", "diagnose", "sensitivity", "fit", "reproduce-paper"],
+)
+def test_help_of_every_subcommand(capsys, command):
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: citeweight {command}")
+
+
 def _iw_meta(iterations=26, self_citations=True, **extra):
     return _meta(
         "iw",
@@ -835,6 +857,8 @@ EXIT_CODE_TABLE = {
     "not UTF-8": ("\udcff,1\n1,1\n", [], "222222222"),
     "unknown flag": (None, ["--fixture", "price", "--bogus"], "111111111"),
     "no input": (None, [], "111111111"),
+    "unknown fixture": (None, ["--fixture", "unobtainium"], "111111111"),
+    "file and fixture": ("1,1\n1,1\n", ["--fixture", "price"], "111111111"),
 }
 
 

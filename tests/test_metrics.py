@@ -210,8 +210,9 @@ class TestPowerIterate:
                 power_iterate(small, tolerance=bad)
         with pytest.raises(CitationDataError):
             power_iterate(small, max_cycles=0)
-        with pytest.raises(CitationDataError):
-            power_iterate(small.counts)
+        expected = "^expected a CitationMatrix or NormalizedMatrix, got ndarray$"
+        with pytest.raises(CitationDataError, match=expected):
+            power_iterate(np.eye(2))
         # a bool is not a cycle count, and a budget must be a whole number
         for bad in (True, False):
             with pytest.raises(CitationDataError, match="cycle count must be"):
