@@ -48,7 +48,7 @@ from .report import (
     MatrixPower,
     build_sections,
     json_cell,
-    render_sections,
+    report_pieces,
 )
 from .sensitivity import INDICATOR_IW, INDICATORS, linear_fit, self_citation_sensitivity
 
@@ -78,11 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     inputs = argparse.ArgumentParser(add_help=False)
     source = inputs.add_mutually_exclusive_group(required=True)
+    # the usage line cannot show that the two exclude each other, so the help does
+    rule = "(exactly one of matrix or --fixture)"
     source.add_argument(
-        "matrix", nargs="?", help="path of a CSV citation matrix, or - for stdin"
+        "matrix", nargs="?", help=f"path of a CSV citation matrix, or - for stdin {rule}"
     )
     source.add_argument(
-        "--fixture", choices=sorted(FIXTURES), help="bundled dataset instead of a file"
+        "--fixture", choices=sorted(FIXTURES), help=f"bundled dataset {rule}"
     )
     inputs.add_argument(
         "--labeled",
@@ -225,6 +227,8 @@ def _read(path: str) -> bytes | str:
     if path != "-":
         with open(path, "rb") as file:
             return file.read()
+    if sys.stdin is None:
+        raise CitationDataError("stdin is closed")
     return sys.stdin.buffer.read() if hasattr(sys.stdin, "buffer") else sys.stdin.read()
 
 
@@ -337,18 +341,22 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 0
     try:
         sections, meta = _run(args)
-        text = render_sections(sections, args.format, meta)
-        # UTF-8 whatever the locale, as --output writes; a stdout with no bytes
-        # beneath it (an io.StringIO put in its place) is written as text
-        # "" is a path too: it fails to open, as an input path of "" does
+        # every refusal comes before the first piece, so before --output ("" is
+        # a path too) opens; each piece goes out as made: as UTF-8 whatever the
+        # locale, or as text to a stdout with no bytes beneath (an io.StringIO)
+        pieces = report_pieces(sections, args.format, meta)
         if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as file:
-                file.write(text)
+                file.writelines(pieces)
+        elif sys.stdout is None:
+            raise CitationDataError("stdout is closed")
         elif hasattr(sys.stdout, "buffer"):
             sys.stdout.flush()
-            sys.stdout.buffer.write(text.encode("utf-8"))
+            sys.stdout.buffer.writelines(piece.encode() for piece in pieces)
+            # a reader that has gone fails here, not at exit
+            sys.stdout.buffer.flush()
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
     except (CitationDataError, OSError) as exc:
         sys.stderr.write(f"{PROG}: data-error: {exc}\n")
         return 2

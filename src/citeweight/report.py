@@ -2,11 +2,11 @@
 
 Every result is first turned into one or more sections (row labels, a
 header and one 2-D array) by the one layout of its type, then the chosen
-writer streams the sections one row at a time into the report text.  Each
-writer builds one ``%`` template per section, from its column count (and,
-for a table, its column widths), and formats a whole row with it.  A table
-pads labels and column names by display width, so a wide character takes
-two columns.
+writer yields the report text piece by piece (title, header, row, footer),
+and the CLI writes each piece as it comes.  Each writer builds one ``%``
+template per section, from its column count (and, for a table, its column
+widths), and formats a whole row with it.  A table pads labels and column
+names by display width, so a wide character takes two columns.
 Floats are written with 12 significant digits in every format; a JSON
 number is the shortest repr of the 12-digit value, and an int cell keeps
 all its digits, so the three formats carry identical values.  The JSON
@@ -19,13 +19,13 @@ is an overflow, and no section holds one.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import math
 import re
 import unicodedata
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -237,11 +237,10 @@ def _gap(text: str, width: int) -> str:
     return " " * (width - _width(text))
 
 
-def _render_table(sections: Sequence[Section]) -> str:
-    out = io.StringIO()
+def _table_pieces(sections: Sequence[Section]):
     for index, sec in enumerate(sections):
         if index:
-            out.write("\n")
+            yield "\n"
         spec, rows = _row_cells(sec)
         # size, then write, in two passes: a section's texts are never all held
         widths = list(map(_width, sec.header))
@@ -249,21 +248,25 @@ def _render_table(sections: Sequence[Section]) -> str:
         for label, cells in zip(sec.labels, rows):
             widths[0] = max(widths[0], _width(label))
             widths[1:] = map(max, widths[1:], map(len, (probe % cells).split(",")))
-        out.write(f"{sec.title}\n{'-' * len(sec.title)}\n")
+        yield f"{sec.title}\n{'-' * len(sec.title)}\n"
         first, *names = sec.header
         header = "".join(f"  {_gap(name, w)}{name}" for name, w in zip(names, widths[1:]))
-        out.write((first + _gap(first, widths[0]) + header).rstrip() + "\n")
+        yield (first + _gap(first, widths[0]) + header).rstrip() + "\n"
         template = "".join(f"  %{w}{spec}" for w in widths[1:])
         for label, cells in zip(sec.labels, _row_cells(sec)[1]):
             # "nan" and "n/a" have one width; a label may hold "nan"
             line = label + _gap(label, widths[0]) + (template % cells).replace("nan", "n/a")
-            out.write(line.rstrip() + "\n")
-        out.writelines(line + "\n" for line in sec.footer)
-    return out.getvalue()
+            yield line.rstrip() + "\n"
+        yield from (line + "\n" for line in sec.footer)
 
 
 # a field holding any of these may be quoted by csv.writer
 _CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_line(row) -> str:
+    # writerow returns what its file's write returns: here, the row's line
+    return csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow(row)
 
 
 def _csv_label(label: str, lone: bool) -> str:
@@ -271,27 +274,20 @@ def _csv_label(label: str, lone: bool) -> str:
     as its only field (``lone``), where an empty field is quoted."""
     if label and not _CSV_SPECIAL.search(label):
         return label
-    text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerow((label,) if lone else (label, ""))
-    return text.getvalue()[: -1 if lone else -2]
+    return _csv_line((label,) if lone else (label, ""))[: -1 if lone else -2]
 
 
-def _render_csv(sections: Sequence[Section]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+def _csv_pieces(sections: Sequence[Section]):
     for index, sec in enumerate(sections):
         if len(sections) > 1:
-            if index:
-                out.write("\n")
-            out.write(f"# {sec.key}\n")
-        writer.writerow(sec.header)
+            yield f"\n# {sec.key}\n" if index else f"# {sec.key}\n"
+        yield _csv_line(sec.header)
         spec, rows = _row_cells(sec)
         lone = len(sec.header) == 1
         # every cell follows a comma, and only NaN's text starts with "nan"
         template = f",%{spec}" * (len(sec.header) - 1) + "\n"
         for label, cells in zip(sec.labels, rows):
-            out.write(_csv_label(label, lone) + (template % cells).replace(",nan", ","))
-    return out.getvalue()
+            yield _csv_label(label, lone) + (template % cells).replace(",nan", ",")
 
 
 def _json_section(sec: Section, indent: str):
@@ -341,9 +337,9 @@ def _json_object(members, indent: str):
     yield "{}" if separator == "{" else f"\n{indent}}}"
 
 
-def _render_json(sections: Sequence[Section], meta: dict | None) -> str:
-    # the text json.dumps(indent=2) writes for the dict of the rows (one
-    # section) or of the sections by key, with "meta" last
+def _json_pieces(sections: Sequence[Section], meta: dict | None):
+    # the text json.dumps(indent=2) writes for the dict of the rows (one section)
+    # or of the sections by key, with "meta" last; it refuses before the first piece
     if len(sections) == 1:
         keys = sections[0].labels
         members = _json_section(sections[0], "")
@@ -361,19 +357,23 @@ def _render_json(sections: Sequence[Section], meta: dict | None) -> str:
             )
         meta_text = json.dumps(meta, indent=2, allow_nan=False).replace("\n", "\n  ")
         members = itertools.chain(members, [("meta", meta_text)])
-    out = io.StringIO()
-    out.writelines(_json_object(members, ""))
-    out.write("\n")
-    return out.getvalue()
+    return itertools.chain(_json_object(members, ""), ("\n",))
+
+
+def report_pieces(sections: Sequence[Section], fmt: str, meta: dict | None = None):
+    """The report of prepared sections in the requested format, as an
+    iterator of text pieces.  Every refusal is raised here, before the
+    first piece is made."""
+    if fmt == "table":
+        return _table_pieces(sections)
+    if fmt == "csv":
+        return _csv_pieces(sections)
+    if fmt == "json":
+        return _json_pieces(sections, meta)
+    raise CitationDataError(f"unknown format {fmt!r}; choose one of {', '.join(FORMATS)}")
 
 
 def render_sections(sections: Sequence[Section], fmt: str, meta: dict | None = None) -> str:
     """Serialize prepared sections in the requested format."""
-    if fmt == "table":
-        return _render_table(sections)
-    if fmt == "csv":
-        return _render_csv(sections)
-    if fmt == "json":
-        return _render_json(sections, meta)
-    raise CitationDataError(f"unknown format {fmt!r}; choose one of {', '.join(FORMATS)}")
+    return "".join(report_pieces(sections, fmt, meta))
 

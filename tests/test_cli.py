@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -660,13 +661,21 @@ class TestExitCodes:
             code, out, _ = run(capsys, *args, fmt)
             assert code == 0
             assert "\nmeta" in out
-        code, out, err = run(capsys, *args, "json")
-        assert code == 2
-        assert out == ""
-        assert err == (
+        clash = (
             "citeweight: data-error: a row named 'meta' clashes with the meta block "
             "of the JSON report\n"
         )
+        code, out, err = run(capsys, *args, "json")
+        assert (code, out, err) == (2, "", clash)
+        # refused before --output is opened: a target keeps its bytes, and a
+        # missing one is not made
+        kept, missing = tmp_path / "kept.json", tmp_path / "missing.json"
+        kept.write_bytes(b"earlier report\n")
+        for target in (kept, missing):
+            code, out, err = run(capsys, *args, "json", "--output", str(target))
+            assert (code, out, err) == (2, "", clash)
+        assert kept.read_bytes() == b"earlier report\n"
+        assert not missing.exists()
 
 
 def _meta(indicator, **extra):
@@ -780,6 +789,35 @@ def test_help_of_every_subcommand(capsys, command):
     code, out, err = run(capsys, command, "--help")
     assert (code, err) == (0, "")
     assert out.startswith(f"usage: citeweight {command}")
+    # the usage line draws the two input sources as independent, so the help
+    # of each states the rule; argparse may wrap it over two lines
+    rule = " ".join(out.split()).count("(exactly one of matrix or --fixture)")
+    assert rule == (0 if command == "reproduce-paper" else 2)
+
+
+def _uniform_csv(n):
+    """The bench's n x n ``uniform`` counts, seed 9, as headerless CSV."""
+    counts = np.random.default_rng(9).integers(0, 500, size=(n, n))
+    return "".join(",".join(map(str, row)) + "\n" for row in counts.tolist())
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_report_is_written_as_it_is_made(tmp_path, fmt):
+    # Each piece is written as it is made, so the peak is set by the n x n
+    # matrix (0.5 MiB here), not by the report (1.1 MiB as CSV to 1.9 MiB as
+    # JSON): a report held whole even once lifts any format past the bound.
+    n = 256
+    path, report = tmp_path / "counts.csv", tmp_path / "report"
+    path.write_text(_uniform_csv(n), encoding="utf-8")
+    argv = ["normalize", str(path), "--format", fmt, "--output", str(report)]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 8
 
 
 def _iw_meta(iterations=26, self_citations=True, **extra):
@@ -1050,6 +1088,41 @@ class TestSubprocess:
         assert main([*flags, "--output", str(report)]) == 0
         assert (result.returncode, result.stderr) == (0, b"")
         assert result.stdout == report.read_bytes()
+
+    @pytest.mark.parametrize(
+        "redirect, args, message",
+        [
+            (">&-", ["iw", "--fixture", "price"], "stdout is closed"),
+            ("<&-", ["iw", "-"], "stdin is closed"),
+        ],
+        ids=["stdout", "stdin"],
+    )
+    def test_closed_standard_stream_is_data_error(self, redirect, args, message):
+        # an interpreter started without the descriptor sets sys.stdout or
+        # sys.stdin to None
+        result = subprocess.run(
+            ["sh", "-c", f'exec "$0" -m citeweight "$@" {redirect}', sys.executable, *args],
+            capture_output=True,
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stderr == f"citeweight: data-error: {message}\n".encode()
+
+    def test_reader_that_leaves_early_is_data_error(self, tmp_path):
+        # a 1.2 MiB table, more than a pipe holds, read for one byte
+        path = tmp_path / "counts.csv"
+        path.write_text(_uniform_csv(256), encoding="utf-8")
+        with subprocess.Popen(
+            [sys.executable, "-m", "citeweight", "normalize", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as child:
+            assert child.stdout.read(1) == b"N"
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=60)
+        # one line: what stdout still buffered raises nothing at exit
+        assert (code, err) == (2, b"citeweight: data-error: [Errno 32] Broken pipe\n")
 
     def test_module_entry_point(self):
         result = run_process(["iw", "--fixture", "price", "--iterations", "7"])

@@ -142,11 +142,9 @@ def test_multi_section_json_refuses_a_repeated_key(weights):
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_render_streams_one_row_at_a_time(fmt):
-    # The report text is built once and copied once, so the peak is about
-    # twice its length.  Converting the whole array at once adds about 32
-    # bytes a cell, which lifts a table or CSV report past three times; the
-    # JSON writer would free such a list before the copy, so its guard is
-    # looser.
+    # The join holds the pieces, then the report, so the peak is about twice
+    # the report's length.  Converting the whole array at once adds about 32
+    # bytes a cell, which lifts a table report past three times.
     rng = np.random.default_rng(256)
     labels = JournalSet(tuple(f"J{i}" for i in range(1, 257)))
     m = CitationMatrix(labels, rng.integers(0, 500, size=(256, 256)))
