@@ -55,11 +55,22 @@ from .sensitivity import INDICATOR_IW, INDICATORS, linear_fit, self_citation_sen
 PROG = "citeweight"
 
 
+def _error_line(kind: str, message) -> None:
+    """Write one error line to stderr.  The line is lost when stderr is
+    closed (None) or its reader has gone, so that the exit code stays the
+    condition's own."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(f"{PROG}: {kind}: {message}\n")
+        except OSError:
+            pass
+
+
 class _Parser(argparse.ArgumentParser):
     # spec'd exit contract reserves 2 for data errors, so argparse's
     # default usage-failure code cannot be used
     def error(self, message):
-        sys.stderr.write(f"{PROG}: usage-error: {message}\n")
+        _error_line("usage-error", message)
         raise SystemExit(1)
 
 
@@ -358,9 +369,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.writelines(pieces)
     except (CitationDataError, OSError) as exc:
-        sys.stderr.write(f"{PROG}: data-error: {exc}\n")
+        _error_line("data-error", exc)
         return 2
     except NumericalError as exc:
-        sys.stderr.write(f"{PROG}: numerical-error: {exc}\n")
+        _error_line("numerical-error", exc)
         return 3
     return 0

@@ -37,8 +37,19 @@ DEFAULT_MAX_SIZE = 1024
 _LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
 # The characters of plain headerless text, which numpy's C reader reads as
-# csv.reader plus float() do.
-_PLAIN_BYTES = b"0123456789.+-eE, \t\r\n"
+# csv.reader plus float() do: integer text, and the characters that only
+# the float reader takes.  The integer reader turns "-0" into +0.0.
+_INTEGER_BYTES = b"0123456789, \t\r\n"
+_FLOAT_ONLY_BYTES = b".+-eE"
+
+# From numpy 1.23, a deprecated fallback of the integer reader reads a
+# field it cannot parse, such as one past int64, through float and casts
+# the result to int64, with only a DeprecationWarning.  numpy 2.4 raises
+# ValueError instead; before it, the float reader reads all plain text.
+_STRICT_INTEGER_READER = np.lib.NumpyVersion(np.__version__) >= "2.4.0"
+
+# Rows cast from int64 to float64 at a time; numpy buffers each block.
+_CAST_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -193,8 +204,11 @@ def parse_matrix_csv(
     The accepted grammar is ``csv.reader`` rows with ``float()`` cells.
     Headerless text made only of digits, ``.+-eE``, commas, spaces, tabs
     and line breaks is read by numpy's C reader instead, which gives
-    identical counts; any other text, and any such text the C reader
-    refuses, goes through the csv reader, which alone words the errors.
+    identical counts.  Unsigned integer text, with no ``.+-eE``, is read
+    by its integer reader and converted to float64, which gives the
+    counts ``float()`` gives.  Any other text, and any such text the C
+    reader refuses, goes through the csv reader, which alone words the
+    errors.
     """
     _check_max_size(max_size)
     if isinstance(data, bytes):
@@ -274,12 +288,20 @@ def _numbered_journals(n: int) -> JournalSet:
 
 def _plain_grid(text: str, max_size: int) -> np.ndarray | None:
     """The counts of headerless ``text`` read by numpy's C reader, or None
-    unless they are certain to equal those of the csv reader path."""
+    unless they are certain to equal those of the csv reader path.
+
+    Unsigned integer text is read by the integer reader, whose int64
+    counts convert to the float64 that ``float()`` gives; text it refuses,
+    such as a field past int64, and all other plain text go through the
+    float reader."""
     # An allowlist, as on other characters the two paths differ: loadtxt
     # strips "\x1c"-"\x1e" around a number, which float() rejects, and
     # str.splitlines breaks lines where the csv path does not (see _LINE).
     # With no quote character, each csv row is its line split at commas.
-    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_BYTES):
+    if not text.isascii():
+        return None
+    float_only = text.encode("ascii").translate(None, _INTEGER_BYTES)
+    if float_only.translate(None, _FLOAT_ONLY_BYTES):
         return None
     # Up to max_size lines with no blank ones hold at most 2 * max_size
     # break characters.  More breaks mean too many rows or many blank lines,
@@ -293,13 +315,38 @@ def _plain_grid(text: str, max_size: int) -> np.ndarray | None:
     # a longer field is a csv.Error on the reader path
     if max(map(len, lines)) > csv.field_size_limit():
         return None
-    # quotechar needs numpy 1.23, below the 1.24 that pyproject.toml requires
-    try:
-        values = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=2)
-    except ValueError:
-        return None
+    values = None
+    if not float_only and _STRICT_INTEGER_READER:
+        values = _integer_counts(lines)
+    if values is None:
+        try:
+            values = _loadtxt(lines, np.float64)
+        except ValueError:
+            return None
     n, width = values.shape
     return values if n == width >= 2 else None
+
+
+def _integer_counts(lines: list[str]) -> np.ndarray | None:
+    """The counts of integer text as float64, or None if numpy's integer
+    reader refuses the text."""
+    try:
+        values = _loadtxt(lines, np.int64)
+    except (ValueError, OverflowError):
+        return None
+    # Cast in place, so the counts are never held twice: numpy copies each
+    # overlapping block of rows before it converts it.
+    counts = values.view(np.float64)
+    for i in range(0, len(values), _CAST_ROWS):
+        counts[i : i + _CAST_ROWS] = values[i : i + _CAST_ROWS]
+    return counts
+
+
+def _loadtxt(lines: list[str], dtype) -> np.ndarray:
+    # quotechar needs numpy 1.23, below the 1.24 that pyproject.toml requires
+    return np.loadtxt(
+        lines, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=2
+    )
 
 
 def _raise_first_non_numeric(cells: list[list[str]]) -> None:

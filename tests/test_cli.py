@@ -1090,23 +1090,37 @@ class TestSubprocess:
         assert result.stdout == report.read_bytes()
 
     @pytest.mark.parametrize(
-        "redirect, args, message",
+        "redirect, args, code, message",
         [
-            (">&-", ["iw", "--fixture", "price"], "stdout is closed"),
-            ("<&-", ["iw", "-"], "stdin is closed"),
+            (">&-", ["iw", "--fixture", "price"], 2, "data-error: stdout is closed"),
+            ("<&-", ["iw", "-"], 2, "data-error: stdin is closed"),
+            # with stderr closed the error line is lost, not the exit code
+            ("2>&-", ["iw", "/nonexistent/counts.csv"], 2, None),
+            ("2>&-", ["iw", "-"], 3, None),
+            ("2>&-", ["iw"], 1, None),
         ],
-        ids=["stdout", "stdin"],
+        ids=["stdout", "stdin", "stderr-missing-file", "stderr-no-references", "stderr-usage"],
     )
-    def test_closed_standard_stream_is_data_error(self, redirect, args, message):
-        # an interpreter started without the descriptor sets sys.stdout or
-        # sys.stdin to None
+    def test_closed_standard_stream_is_data_error(self, redirect, args, code, message):
+        # an interpreter started without the descriptor sets sys.stdout,
+        # sys.stdin or sys.stderr to None; on stdin J2 makes no references
         result = subprocess.run(
             ["sh", "-c", f'exec "$0" -m citeweight "$@" {redirect}', sys.executable, *args],
             capture_output=True,
+            input=b"1,0\n0,0\n",
             timeout=60,
         )
-        assert result.returncode == 2
-        assert result.stderr == f"citeweight: data-error: {message}\n".encode()
+        assert result.returncode == code
+        assert result.stderr == (f"citeweight: {message}\n" if message else "").encode()
+
+    def test_error_line_to_a_reader_that_has_gone_keeps_the_exit_code(self):
+        # the pipe's one reader is closed before the child writes its line
+        with subprocess.Popen(
+            [sys.executable, "-m", "citeweight", "iw", "/nonexistent/counts.csv"],
+            stderr=subprocess.PIPE,
+        ) as child:
+            child.stderr.close()
+            assert child.wait(timeout=60) == 2
 
     def test_reader_that_leaves_early_is_data_error(self, tmp_path):
         # a 1.2 MiB table, more than a pipe holds, read for one byte

@@ -237,6 +237,30 @@ class TestParse:
         assert m.counts.tobytes() == counts.tobytes()
         assert m.counts.flags.c_contiguous
 
+    @pytest.mark.parametrize(
+        "text, readers",
+        [
+            ("1,2\n3,4\n", ["int64"]),
+            ("99999999999999999999,2\n3,4\n", ["int64", "float64"]),
+            ("1.5,2\n3,4\n", ["float64"]),
+            ("-0,2\n3,4\n", ["float64"]),
+        ],
+        ids=["integers", "past-int64", "fraction", "minus-zero"],
+    )
+    def test_integer_text_takes_the_integer_reader(self, monkeypatch, text, readers):
+        calls, loadtxt = [], np.loadtxt
+
+        def recorded(*args, dtype, **kwargs):
+            calls.append(np.dtype(dtype).name)
+            return loadtxt(*args, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recorded)
+        parse_matrix_csv(text)
+        # before numpy 2.4 the float reader reads all plain text
+        if not citeweight.matrix._STRICT_INTEGER_READER:
+            readers = ["float64"]
+        assert calls == readers
+
     def test_blank_lines_do_not_count_toward_the_size_cap(self):
         assert parse_matrix_csv("1,2\n\n\n3,4\n\n", max_size=2).n == 2
 

@@ -184,3 +184,12 @@ def test_parse_holds_no_second_copy_of_the_text():
     digits = np.random.default_rng(512).integers(1, 10, size=(N, N))
     text = "".join(",".join(map(str, row)) + "\n" for row in digits.tolist())
     assert _traced_peak(parse_matrix_csv, text) <= 2.5 * MATRIX_BYTES
+
+
+def test_parse_of_integer_text_holds_the_counts_once():
+    # Fields of up to seven digits make the lines of the text about a
+    # matrix's worth, and the int64 counts another; cast to float64 in
+    # place, they are never held twice, which would add a third.
+    counts = np.random.default_rng(512).integers(1, 10**6, size=(N, N), endpoint=True)
+    text = "".join(",".join(map(str, row)) + "\n" for row in counts.tolist())
+    assert _traced_peak(parse_matrix_csv, text) <= 2.5 * MATRIX_BYTES
