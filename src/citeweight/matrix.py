@@ -128,10 +128,11 @@ def _first_cell(mask: np.ndarray) -> str:
 
 
 def _adopt(cls, journals: JournalSet, values: np.ndarray):
-    """A ``cls`` matrix wrapping ``values``, a float array nothing else holds,
-    made read-only but neither copied nor scanned: its cells were checked, or
-    derived from checked cells in a way that cannot make one negative or
-    non-finite (a zeroed diagonal, a transpose, a guarded division)."""
+    """A ``cls`` matrix or vector wrapping ``values``, a float array nothing
+    else holds, made read-only but neither copied nor scanned: its cells were
+    checked, or derived from checked cells in a way that cannot make one
+    negative or non-finite (a zeroed diagonal, a transpose, a guarded
+    division, a product renormalized by its finite positive mass)."""
     values.setflags(write=False)
     m = object.__new__(cls)
     for field, value in zip(fields(cls), (journals, values)):

@@ -78,11 +78,8 @@ class IterationTrace:
     ``deltas[k - 1]``, and ``iterations_used`` is ``len(deltas)``.
 
     ``decay_ratios[i]`` is ``deltas[i + 1] / deltas[i]``, the ratio of the
-    pair ending at cycle i + 2, NaN where the earlier delta is 0.
-    ``geometric`` reports whether every defined ratio from cycle 3 on stays
-    below 1, the signature of clean geometric decay toward the dominant
-    eigenvector; the first two deltas still carry the imprint of the start
-    vector, so the ratio ending at cycle 2 is not judged."""
+    pair ending at cycle i + 2, NaN where the earlier delta is 0, and
+    ``converged`` is whether the last delta is at most the tolerance."""
 
     final: WeightVector
     product: np.ndarray
@@ -97,10 +94,6 @@ class IterationTrace:
     def decay_ratios(self) -> tuple[float, ...]:
         pairs = zip(self.deltas, self.deltas[1:])
         return tuple(later / earlier if earlier > 0 else math.nan for earlier, later in pairs)
-
-    @property
-    def geometric(self) -> bool:
-        return all(r < 1.0 for r in self.decay_ratios[1:] if not math.isnan(r))
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +258,7 @@ def power_iterate(
         if cycles is None and deltas[-1] <= tolerance:
             break
     product.setflags(write=False)
-    final = WeightVector(journals, vector)
+    final = _adopt(WeightVector, journals, vector)
     return IterationTrace(final, product, tuple(deltas), deltas[-1] <= tolerance)
 
 
@@ -354,7 +347,8 @@ def power_weakness_ratio(m: CitationMatrix, cycles: int) -> PowerWeaknessResult:
     overflowed = [m.journals.labels[i] for i in np.flatnonzero(np.isinf(ratio))]
     if overflowed:
         raise NumericalError(f"power-weakness ratio of journal {overflowed[0]!r} overflowed")
-    return PowerWeaknessResult(power, weakness, WeightVector(m.journals, ratio), int(cycles))
+    ratio_vector = _adopt(WeightVector, m.journals, ratio)
+    return PowerWeaknessResult(power, weakness, ratio_vector, int(cycles))
 
 
 def self_citation_diagnostics(m: CitationMatrix) -> SelfCitationDiagnostics:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 import tracemalloc
 from pathlib import Path
 
@@ -1146,7 +1147,6 @@ class TestSubprocess:
     def test_console_script(self):
         # Run the declared [project.scripts] entry point the way an installer's
         # wrapper script does, so the test needs no install and ignores PATH.
-        tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         with pyproject.open("rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["citeweight"]

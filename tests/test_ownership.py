@@ -3,7 +3,8 @@
 The public constructors copy and check what the caller passes in.  Parsed
 counts get the same checks and messages, without the copy.  A matrix the
 package derives from checked counts (by transposing, stripping or
-normalizing) is wrapped as it is built, neither copied nor scanned again.
+normalizing) is wrapped as it is built, neither copied nor scanned again,
+and so is a weight vector it derives by iterating or dividing.
 Each is read-only, as is every array of a result the package returns.
 The memory bounds are traced with tracemalloc, which sees numpy's data
 buffers, at n=512, where one float64 matrix takes 2 MiB.
@@ -21,11 +22,13 @@ from citeweight import (
     NormalizedMatrix,
     NumericalError,
     WeightVector,
+    influence_weights,
     margins,
     matrix_power,
     parse_matrix_csv,
     pinski_narin_normalize,
     power_iterate,
+    power_weakness_ratio,
     price_matrix,
     self_citation_diagnostics,
     self_citation_sensitivity,
@@ -99,6 +102,10 @@ def _result_arrays():
     arrays["margins.citing_totals"] = totals.citing_totals
     for k in (1, 3):
         arrays[f"matrix_power.k{k}"] = matrix_power(m, k)
+    arrays["influence_weights"] = influence_weights(m).values
+    pwr = power_weakness_ratio(m, 7)
+    for name in ("power", "weakness", "ratio"):
+        arrays[f"pwr.{name}"] = getattr(pwr, name).values
     return arrays
 
 

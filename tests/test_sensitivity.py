@@ -123,26 +123,22 @@ class TestConvergenceProfile:
         # strict decrease from cycle 3 on
         for earlier, later in zip(trace.deltas[2:], trace.deltas[3:]):
             assert later < earlier
-        assert trace.geometric
 
     def test_one_ratio_per_cycle_pair(self, price):
         trace = power_iterate(pinski_narin_normalize(price), cycles=6)
         assert len(trace.decay_ratios) == 5
 
-    def test_ratio_ending_at_cycle_two_is_not_judged(self):
-        # the delta rises from cycle 1 to 2, then decays
+    def test_delta_rises_at_cycle_two_then_decays(self):
         counts = np.array([[0, 0, 0], [0, 1, 1], [3, 1, 0]])
         m = CitationMatrix(JournalSet(("A", "B", "C")), counts)
         trace = power_iterate(pinski_narin_normalize(m), cycles=5)
         assert trace.decay_ratios[0] > 1
         assert all(r < 1 for r in trace.decay_ratios[1:])
-        assert trace.geometric
 
-    def test_ratio_ending_at_cycle_three_is_judged(self):
+    def test_ratios_divide_each_delta_by_the_one_before(self):
         final = WeightVector(JournalSet(("A", "B")), np.array([0.5, 0.5]))
         trace = IterationTrace(final, np.array([1.0, 1.0]), (1.0, 0.5, 0.6, 0.3), False)
         assert trace.decay_ratios == (0.5, 1.2, 0.5)
-        assert not trace.geometric
 
     def test_late_ratio_approaches_frozen_value(self, price):
         trace = power_iterate(pinski_narin_normalize(price), cycles=10)
@@ -152,26 +148,36 @@ class TestConvergenceProfile:
         trace = power_iterate(pinski_narin_normalize(price), cycles=10)
         assert trace.decay_ratios[-1] == pytest.approx(gv.SUBDOMINANT_RATIO, rel=0.05)
 
-    def test_short_trace_has_fewer_ratios_and_is_vacuously_geometric(self, price):
+    def test_short_trace_has_fewer_ratios(self, price):
         normalized = pinski_narin_normalize(price)
         one = power_iterate(normalized, cycles=1)
         assert one.decay_ratios == ()
-        assert one.geometric
         two = power_iterate(normalized, cycles=2)
         assert two.decay_ratios == (two.deltas[1] / two.deltas[0],)
-        assert two.geometric  # the one ratio ends at cycle 2 and is not judged
 
     def test_immediate_fixed_point_gives_nan_ratios(self):
         # uniform matrix lands on the fixed point in one cycle
         m = CitationMatrix(JournalSet(("A", "B")), np.array([[1, 1], [1, 1]]))
         trace = power_iterate(pinski_narin_normalize(m), cycles=3)
         assert all(math.isnan(r) for r in trace.decay_ratios)
-        assert trace.geometric  # vacuously: no judged ratios
 
-    def test_oscillation_is_not_geometric(self):
+    def test_two_cycle_oscillation_holds_its_delta(self):
         m = CitationMatrix(JournalSet(("A", "B")), np.array([[0, 2], [1, 0]]))
         trace = power_iterate(pinski_narin_normalize(m), cycles=8)
-        assert not trace.geometric
+        assert trace.deltas == pytest.approx((0.6,) * 8, rel=1e-12)
+        assert trace.decay_ratios == (1.0,) * 7
+
+    def test_period_three_oscillation_repeats_its_deltas(self):
+        # a cyclic permutation with weights: the iterate cycles with period 3,
+        # so the deltas repeat and every three consecutive ratios multiply to 1
+        counts = np.array([[0, 1, 0], [0, 0, 2], [3, 0, 0]])
+        m = CitationMatrix(JournalSet(("A", "B", "C")), counts)
+        trace = power_iterate(pinski_narin_normalize(m), cycles=9)
+        for earlier, later in zip(trace.deltas, trace.deltas[3:]):
+            assert later == pytest.approx(earlier, abs=1e-12)
+        ratios = trace.decay_ratios
+        for triple in zip(ratios, ratios[1:], ratios[2:]):
+            assert math.prod(triple) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLinearFit:
