@@ -208,8 +208,9 @@ def parse_matrix_csv(
     identical counts.  Unsigned integer text, with no ``.+-eE``, is read
     by its integer reader and converted to float64, which gives the
     counts ``float()`` gives.  Any other text, and any such text the C
-    reader refuses, goes through the csv reader, which alone words the
-    errors.
+    reader refuses, goes through the csv reader, which words the errors;
+    a grid the C reader reads is refused for its shape alone, with the
+    csv reader's message.
     """
     _check_max_size(max_size)
     if isinstance(data, bytes):
@@ -259,17 +260,12 @@ def parse_matrix_csv(
             )
         label_set = JournalSet(column_labels)
         cells = [row[1:] for row in rows[1:]]
-        n = len(cells)
     else:
-        n = len(rows)
-        if width != n:
-            raise CitationDataError(f"matrix must be square, got {n} rows x {width} columns")
-        label_set = _numbered_journals(n)
-        cells = rows
+        label_set, cells = _numbered_journals(len(rows)), rows
+    n = len(cells)
     # Matching labels make the labeled grid n x n as well; its size is
     # checked before any cell, as the headerless one's is.
-    if n < 2:
-        raise CitationDataError(f"matrix must be at least 2x2, got {n}x{n}")
+    _check_square(n, width - labeled)
 
     # Only the conversion sits in the try: CitationDataError is a
     # ValueError, and the finite and sign checks must not be caught here.
@@ -283,13 +279,23 @@ def parse_matrix_csv(
     return _adopt(CitationMatrix, label_set, _checked(label_set, values, 2))
 
 
+def _check_square(rows: int, width: int) -> None:
+    if width != rows:
+        raise CitationDataError(f"matrix must be square, got {rows} rows x {width} columns")
+    if rows < 2:
+        raise CitationDataError(f"matrix must be at least 2x2, got {rows}x{rows}")
+
+
 def _numbered_journals(n: int) -> JournalSet:
     return JournalSet(tuple(f"J{i}" for i in range(1, n + 1)))
 
 
 def _plain_grid(text: str, max_size: int) -> np.ndarray | None:
     """The counts of headerless ``text`` read by numpy's C reader, or None
-    unless they are certain to equal those of the csv reader path.
+    unless they are certain to equal those of the csv reader path.  A grid
+    the C reader reads but that is not square, or below 2x2, raises the
+    csv path's error without being read again: the lines it takes split
+    into the csv path's rows, so both see one shape.
 
     Unsigned integer text is read by the integer reader, whose int64
     counts convert to the float64 that ``float()`` gives; text it refuses,
@@ -324,8 +330,8 @@ def _plain_grid(text: str, max_size: int) -> np.ndarray | None:
             values = _loadtxt(lines, np.float64)
         except ValueError:
             return None
-    n, width = values.shape
-    return values if n == width >= 2 else None
+    _check_square(*values.shape)
+    return values
 
 
 def _integer_counts(lines: list[str]) -> np.ndarray | None:
@@ -362,10 +368,27 @@ def _raise_first_non_numeric(cells: list[list[str]]) -> None:
                 ) from exc
 
 
+def _kept(m: CitationMatrix, key: tuple, build):
+    """The result ``build()`` gives for ``m`` and ``key``, built on the
+    first call and kept in ``m.__dict__`` (as ``functools.cached_property``
+    keeps its value on a frozen dataclass), so later calls return that very
+    object.  Keep only O(n)-sized results here.  Two threads that both
+    miss build the same bytes, and both return the one kept first; an
+    exception keeps nothing."""
+    kept = m.__dict__.setdefault("_kept", {})
+    try:
+        return kept[key]
+    except KeyError:
+        return kept.setdefault(key, build())
+
+
 def margins(m: CitationMatrix) -> MarginTotals:
     """Row sums and column sums of a matrix.
 
-    Sums are exact for integer-valued inputs.
+    Sums are exact for integer-valued inputs.  The totals are computed once
+    per matrix and kept on it, so later calls return that very object;
+    changing ``counts`` after making them writable again is outside the
+    contract.
 
     Raises
     ------
@@ -373,6 +396,10 @@ def margins(m: CitationMatrix) -> MarginTotals:
         If a total overflows, naming the first journal whose total is not
         finite.
     """
+    return _kept(m, ("margins",), lambda: _margin_totals(m))
+
+
+def _margin_totals(m: CitationMatrix) -> MarginTotals:
     with np.errstate(over="ignore"):
         cited = m.counts.sum(axis=1)
         citing = m.counts.sum(axis=0)

@@ -21,6 +21,7 @@ from .matrix import (
     _adopt,
     _checked,
     _is_positive_count,
+    _kept,
     margins,
     strip_self_citations,
     transpose,
@@ -30,7 +31,8 @@ from .matrix import (
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_MAX_CYCLES = 100
 #: Ceiling on a cycle count or budget, so that no argument can hang a run:
-#: a cycle takes 0.3-1.2 ms at n=1024 on 2 vCPUs, so 0.5-2 minutes.
+#: a cycle took 0.22-0.24 ms at n=1024 on 2 vCPUs (0.19 ms of it the
+#: matrix-vector product), so 22-24 s.
 CYCLE_CEILING = 100_000
 
 
@@ -276,6 +278,13 @@ def influence_trace(
     matrix, so the reference totals used as divisors are recomputed from
     the stripped matrix.
 
+    The trace is computed once per matrix and argument set and kept on the
+    matrix, O(n) memory for each set; the normalized matrix is not kept.
+    A later call with the same arguments returns that very trace, or
+    raises the same error, without iterating again, and two threads that
+    both miss compute the same bytes.  Changing ``counts`` after making
+    them writable again is outside the contract.
+
     Raises
     ------
     CitationDataError
@@ -286,11 +295,15 @@ def influence_trace(
         return their trace whatever its ``converged`` flag.
     """
     check_iteration_args(cycles, tolerance, max_cycles)
-    trace = power_iterate(
-        pinski_narin_normalize(m),
-        cycles=cycles,
-        tolerance=tolerance,
-        max_cycles=max_cycles,
+    trace = _kept(
+        m,
+        ("influence_trace", cycles, tolerance, max_cycles),
+        lambda: power_iterate(
+            pinski_narin_normalize(m),
+            cycles=cycles,
+            tolerance=tolerance,
+            max_cycles=max_cycles,
+        ),
     )
     if cycles is None and not trace.converged:
         raise NumericalError(
@@ -308,8 +321,9 @@ def influence_weights(
     max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> WeightVector:
     """Recursive influence weights: the final stochastic vector of
-    :func:`influence_trace`, which documents the arguments and raises
-    :class:`NumericalError` on tolerance-mode non-convergence."""
+    :func:`influence_trace`, which documents the arguments, keeps its trace
+    on the matrix, and raises :class:`NumericalError` on tolerance-mode
+    non-convergence."""
     return influence_trace(
         m,
         cycles=cycles,

@@ -1,10 +1,15 @@
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import citeweight.metrics
 import golden_values as gv
 from citeweight import (
     CitationDataError,
@@ -18,10 +23,12 @@ from citeweight import (
     power_iterate,
     power_weakness_ratio,
     self_citation_diagnostics,
+    self_citation_sensitivity,
     strip_self_citations,
     transpose,
 )
 from citeweight.metrics import CYCLE_CEILING, influence_trace
+from test_properties import EXAMPLES, cited_and_citing
 
 
 def exact_stochastic_iteration(counts, cycles):
@@ -307,6 +314,131 @@ class TestInfluenceWeights:
         dominant = dominant / dominant.sum()
         w = influence_weights(price, tolerance=1e-13, max_cycles=1000)
         assert np.abs(w.values - dominant).max() <= 1e-8
+
+
+class TestKeptResults:
+    """A matrix keeps its margin totals and each influence trace it was
+    asked for, so a repeated call returns the object the first one built."""
+
+    def test_a_repeated_call_returns_the_kept_object(self, price):
+        assert influence_trace(price) is influence_trace(price)
+        assert margins(price) is margins(price)
+
+    @pytest.mark.parametrize("order", [("seven", "tolerance"), ("tolerance", "seven")])
+    def test_each_argument_set_keeps_its_own_trace(self, price, order):
+        runs = {"seven": dict(cycles=7), "tolerance": dict(tolerance=1e-13, max_cycles=1000)}
+        traces = {name: influence_trace(price, **runs[name]) for name in order}
+        for name in order:
+            assert influence_trace(price, **runs[name]) is traces[name]
+        seven, converged = traces["seven"], traces["tolerance"]
+        assert seven.iterations_used == 7
+        assert tuple(round(v, 4) for v in seven.final.values) == gv.IW7_WITH
+        assert converged.converged and converged.iterations_used > 7
+        eigenvalues, eigenvectors = np.linalg.eig(pinski_narin_normalize(price).values)
+        dominant = np.real(eigenvectors[:, np.argmax(np.abs(eigenvalues))])
+        assert np.abs(converged.final.values - dominant / dominant.sum()).max() <= 1e-8
+
+    def test_a_repeated_non_converging_call_raises_without_iterating(self, monkeypatch):
+        m = CitationMatrix(JournalSet(("A", "B")), np.array([[0, 2], [1, 0]]))
+        with pytest.raises(NumericalError, match="did not converge within 30 cycles") as first:
+            influence_weights(m, max_cycles=30)
+
+        def not_again(*args, **kwargs):
+            raise AssertionError("the kept trace was iterated again")
+
+        monkeypatch.setattr(citeweight.metrics, "power_iterate", not_again)
+        with pytest.raises(NumericalError) as second:
+            influence_weights(m, max_cycles=30)
+        assert str(second.value) == str(first.value)
+
+    def test_a_fresh_matrix_with_the_same_counts_shares_nothing(self, price):
+        trace, totals = influence_trace(price), margins(price)
+        fresh = CitationMatrix(price.journals, price.counts)
+        fresh_trace, fresh_totals = influence_trace(fresh), margins(fresh)
+        assert fresh_trace is not trace and fresh_totals is not totals
+        pairs = [
+            (trace.final.values, fresh_trace.final.values),
+            (trace.product, fresh_trace.product),
+            (totals.cited_totals, fresh_totals.cited_totals),
+            (totals.citing_totals, fresh_totals.citing_totals),
+        ]
+        for kept, made in pairs:
+            assert kept.tobytes() == made.tobytes()
+            assert not np.shares_memory(kept, made)
+
+    @pytest.mark.parametrize(
+        "valid, invalid",
+        [
+            (dict(cycles=1), dict(cycles=True)),
+            (dict(cycles=3, max_cycles=1), dict(cycles=3, max_cycles=True)),
+            (dict(cycles=7), dict(cycles=7, tolerance=-1.0)),
+            (dict(), dict(max_cycles=CYCLE_CEILING + 1)),
+        ],
+    )
+    def test_invalid_arguments_raise_even_after_a_hit(self, price, valid, invalid):
+        # True hashes and compares equal to 1, so a lookup before the
+        # argument check would return the kept trace of the valid call
+        influence_trace(price, **valid)
+        with pytest.raises(CitationDataError):
+            influence_trace(price, **invalid)
+
+    def test_threads_that_miss_together_return_the_one_kept_object(self):
+        # a lost update, each thread keeping its own trace, would give
+        # threads distinct objects
+        counts = np.random.default_rng(8).integers(1, 500, size=(64, 64))
+        m = CitationMatrix(JournalSet(tuple(f"J{i}" for i in range(64))), counts)
+        results = []
+
+        def worker():
+            results.append((influence_trace(m), margins(m)))
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == len(threads)
+        assert all(r[0] is influence_trace(m) and r[1] is margins(m) for r in results)
+
+
+def _outcome(func, m):
+    """The bytes of the array ``func(m)`` returns, or the message it raises."""
+    try:
+        return func(m).tobytes()
+    except NumericalError as exc:
+        return str(exc)
+
+
+def _weights(m):
+    return influence_weights(m).values
+
+
+def _with_values(m):
+    return self_citation_sensitivity(m).with_values
+
+
+@EXAMPLES
+@given(cited_and_citing, st.booleans())
+def test_sensitivity_reads_the_weights_of_a_cold_matrix(m, weights_first):
+    def fresh():
+        return CitationMatrix(m.journals, m.counts)
+
+    if weights_first:
+        weights = _outcome(_weights, m)
+    with_values = _outcome(_with_values, m)
+    if not weights_first:
+        weights = _outcome(_weights, m)
+    assert weights == _outcome(_weights, fresh())
+    assert with_values == _outcome(_with_values, fresh())
+    # the stripped run may fail alone; otherwise both read one trace
+    if isinstance(with_values, bytes):
+        assert with_values == weights
 
 
 class TestPowerWeakness:

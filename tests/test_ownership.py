@@ -200,3 +200,35 @@ def test_parse_of_integer_text_holds_the_counts_once():
     counts = np.random.default_rng(512).integers(1, 10**6, size=(N, N), endpoint=True)
     text = "".join(",".join(map(str, row)) + "\n" for row in counts.tolist())
     assert _traced_peak(parse_matrix_csv, text) <= 2.5 * MATRIX_BYTES
+
+
+def test_non_square_plain_grid_is_refused_after_one_read():
+    # 16 rows of 4,096 two-digit fields: numpy's read of the lines into
+    # counts peaks near 0.6 of a matrix; reading the text again as csv
+    # rows, a str per field, took that near two matrices.
+    text = ("10," * 4095 + "10\n") * 16
+
+    def refuse():
+        with pytest.raises(CitationDataError) as exc:
+            parse_matrix_csv(text, max_size=N)
+        assert str(exc.value) == "matrix must be square, got 16 rows x 4096 columns"
+
+    assert _traced_peak(refuse) <= MATRIX_BYTES
+
+
+def test_a_matrix_keeps_no_n_by_n_array(large):
+    # what a matrix keeps after these calls is its margin totals and one
+    # influence trace, a few n-vectors; the normalized, stripped and
+    # transposed matrices the calls made are gone with their results
+    m = CitationMatrix(large.journals, large.counts)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        influence_weights(m)
+        self_citation_sensitivity(m)
+        self_citation_diagnostics(m)
+        margins(m)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 32 * N * 8
