@@ -223,7 +223,12 @@ def _load_input(args) -> tuple[CitationMatrix, str]:
         source = f"fixture:{args.fixture}"
     else:
         source = "stdin" if args.matrix == "-" else args.matrix
-        m = parse_matrix_csv(_read(args.matrix), labeled=args.labeled, max_size=args.max_size)
+        try:
+            m = parse_matrix_csv(
+                _read(args.matrix), labeled=args.labeled, max_size=args.max_size
+            )
+        except MemoryError as exc:
+            raise CitationDataError("input too large to hold in memory") from exc
     if args.transpose:
         m = transpose(m)
     # only the subcommands that take --no-self-citations have the attribute

@@ -9,8 +9,6 @@ tests and the ``reproduce-paper`` command.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .matrix import CitationMatrix, JournalSet
 
 PRICE_LABELS = (
@@ -39,7 +37,7 @@ PRICE_COUNTS = (
 
 def price_matrix() -> CitationMatrix:
     """The eight-journal biochemistry citation matrix."""
-    return CitationMatrix(JournalSet(PRICE_LABELS), np.array(PRICE_COUNTS, dtype=float))
+    return CitationMatrix(JournalSet(PRICE_LABELS), PRICE_COUNTS)
 
 
 FIXTURES = {"price": price_matrix}

@@ -128,11 +128,12 @@ def _first_cell(mask: np.ndarray) -> str:
 
 
 def _adopt(cls, journals: JournalSet, values: np.ndarray):
-    """A ``cls`` matrix or vector wrapping ``values``, a float array nothing
-    else holds, made read-only but neither copied nor scanned: its cells were
-    checked, or derived from checked cells in a way that cannot make one
-    negative or non-finite (a zeroed diagonal, a transpose, a guarded
-    division, a product renormalized by its finite positive mass)."""
+    """A ``cls`` matrix or vector wrapping ``values``, a float array no
+    caller holds (a new array, or a view of read-only package counts), made
+    read-only but neither copied nor scanned: its cells were checked, or
+    derived from checked cells in a way that cannot make one negative or
+    non-finite (a zeroed diagonal, a transpose, a guarded division, a
+    product renormalized by its finite positive mass)."""
     values.setflags(write=False)
     m = object.__new__(cls)
     for field, value in zip(fields(cls), (journals, values)):
@@ -415,11 +416,9 @@ def _margin_totals(m: CitationMatrix) -> MarginTotals:
 
 
 def transpose(m: CitationMatrix) -> CitationMatrix:
-    """Swap the cited and citing axes."""
-    # The copy keeps the memory order of m.counts, so the result is
-    # column-major; a row-major copy would change the summation order of
-    # the products in power_iterate and the last bits of the weights.
-    return _adopt(CitationMatrix, m.journals, m.counts.T.copy(order="K"))
+    """Swap the cited and citing axes.  The result's counts are a read-only
+    view of ``m.counts``, not a copy."""
+    return _adopt(CitationMatrix, m.journals, m.counts.T)
 
 
 def strip_self_citations(m: CitationMatrix) -> CitationMatrix:

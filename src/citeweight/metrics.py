@@ -31,8 +31,8 @@ from .matrix import (
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_MAX_CYCLES = 100
 #: Ceiling on a cycle count or budget, so that no argument can hang a run:
-#: a cycle took 0.22-0.24 ms at n=1024 on 2 vCPUs (0.19 ms of it the
-#: matrix-vector product), so 22-24 s.
+#: a cycle took 0.23-0.28 ms at n=1024 on 2 vCPUs (0.20-0.23 ms of it the
+#: matrix-vector product), so 23-28 s.
 CYCLE_CEILING = 100_000
 
 
@@ -295,16 +295,9 @@ def influence_trace(
         return their trace whatever its ``converged`` flag.
     """
     check_iteration_args(cycles, tolerance, max_cycles)
-    trace = _kept(
-        m,
-        ("influence_trace", cycles, tolerance, max_cycles),
-        lambda: power_iterate(
-            pinski_narin_normalize(m),
-            cycles=cycles,
-            tolerance=tolerance,
-            max_cycles=max_cycles,
-        ),
-    )
+    key = ("influence_trace", cycles, tolerance, max_cycles)
+    iteration = dict(cycles=cycles, tolerance=tolerance, max_cycles=max_cycles)
+    trace = _kept(m, key, lambda: power_iterate(pinski_narin_normalize(m), **iteration))
     if cycles is None and not trace.converged:
         raise NumericalError(
             f"influence weights did not converge within {max_cycles} cycles "
@@ -324,12 +317,7 @@ def influence_weights(
     :func:`influence_trace`, which documents the arguments, keeps its trace
     on the matrix, and raises :class:`NumericalError` on tolerance-mode
     non-convergence."""
-    return influence_trace(
-        m,
-        cycles=cycles,
-        tolerance=tolerance,
-        max_cycles=max_cycles,
-    ).final
+    return influence_trace(m, cycles=cycles, tolerance=tolerance, max_cycles=max_cycles).final
 
 
 def power_weakness_ratio(m: CitationMatrix, cycles: int) -> PowerWeaknessResult:
@@ -375,7 +363,8 @@ def self_citation_diagnostics(m: CitationMatrix) -> SelfCitationDiagnostics:
     received citations or no references is valid data.
     """
     totals = margins(m)
-    others = margins(strip_self_citations(m))
+    stripped = strip_self_citations(m)
+    others = margins(stripped)
     self_counts = np.diagonal(m.counts).copy()
     arrays = dict(
         self_citations=self_counts,
@@ -383,12 +372,20 @@ def self_citation_diagnostics(m: CitationMatrix) -> SelfCitationDiagnostics:
         citing_others=others.citing_totals,
         self_cited_rate=_safe_divide(self_counts, totals.cited_totals),
         self_citing_rate=_safe_divide(self_counts, totals.citing_totals),
-        cited_citing_ratio_with=_safe_divide(totals.cited_totals, totals.citing_totals),
-        cited_citing_ratio_without=_safe_divide(others.cited_totals, others.citing_totals),
+        cited_citing_ratio_with=cited_citing_ratio(m),
+        cited_citing_ratio_without=cited_citing_ratio(stripped),
     )
     for values in arrays.values():
         values.setflags(write=False)
     return SelfCitationDiagnostics(m.journals, **arrays)
+
+
+def cited_citing_ratio(m: CitationMatrix) -> np.ndarray:
+    """Cited over citing totals, read-only; NaN where the citing total is 0."""
+    totals = margins(m)
+    ratio = _safe_divide(totals.cited_totals, totals.citing_totals)
+    ratio.setflags(write=False)
+    return ratio
 
 
 def _safe_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:

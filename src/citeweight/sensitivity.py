@@ -18,15 +18,26 @@ from .metrics import (
     DEFAULT_MAX_CYCLES,
     DEFAULT_TOLERANCE,
     _safe_divide,
+    cited_citing_ratio,
     check_iteration_args,
     influence_weights,
-    self_citation_diagnostics,
 )
 
 INDICATOR_IW = "iw"
-INDICATOR_RAW_CITED = "raw_cited"
-INDICATOR_RATIO = "cited_citing_ratio"
-INDICATORS = (INDICATOR_IW, INDICATOR_RAW_CITED, INDICATOR_RATIO)
+
+
+def _indicators(**iteration) -> dict:
+    """Each indicator as a function of one matrix, ``iw`` run with the
+    ``iteration`` arguments.  Built on each call, so that wrappers put on
+    this module's attributes see every call."""
+    return {
+        INDICATOR_IW: lambda x: influence_weights(x, **iteration).values,
+        "raw_cited": lambda x: margins(x).cited_totals,
+        "cited_citing_ratio": cited_citing_ratio,
+    }
+
+
+INDICATORS = tuple(_indicators())
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,9 +82,9 @@ def self_citation_sensitivity(
     margin ratio).  The iteration arguments only affect ``iw``, but are
     validated for every indicator.
 
-    The without-variant zeroes the diagonal before any normalization, so
-    for ``iw`` the reference totals are recomputed from the stripped
-    matrix rather than inherited.
+    Each indicator is one function of a matrix, applied to ``m`` and then
+    to :func:`strip_self_citations` of ``m``; so for ``iw`` the reference
+    totals are recomputed from the stripped matrix rather than inherited.
 
     Converged ``iw`` weights depend only on the off-diagonal counts:
     subtract ``C_ii w_i`` from both sides of ``R_i w_i = sum_j C_ij w_j``.
@@ -89,27 +100,12 @@ def self_citation_sensitivity(
         When an ``iw`` run in tolerance mode does not converge.
     """
     check_iteration_args(cycles, tolerance, max_cycles)
-    if indicator == INDICATOR_IW:
-        with_values = influence_weights(
-            m, cycles=cycles, tolerance=tolerance, max_cycles=max_cycles
-        ).values
-        without_values = influence_weights(
-            strip_self_citations(m),
-            cycles=cycles,
-            tolerance=tolerance,
-            max_cycles=max_cycles,
-        ).values
-    elif indicator == INDICATOR_RAW_CITED:
-        with_values = margins(m).cited_totals
-        without_values = margins(strip_self_citations(m)).cited_totals
-    elif indicator == INDICATOR_RATIO:
-        diag = self_citation_diagnostics(m)
-        with_values = diag.cited_citing_ratio_with
-        without_values = diag.cited_citing_ratio_without
-    else:
+    if indicator not in INDICATORS:
         raise CitationDataError(
             f"unknown indicator {indicator!r}; choose one of {', '.join(INDICATORS)}"
         )
+    of = _indicators(cycles=cycles, tolerance=tolerance, max_cycles=max_cycles)[indicator]
+    with_values, without_values = of(m), of(strip_self_citations(m))
 
     # an overflowed change stays inf; the report layer refuses to print it
     with np.errstate(over="ignore", invalid="ignore"):

@@ -4,10 +4,16 @@ import subprocess
 import sys
 import tomllib
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import golden_values as gv
 from citeweight import __version__, price_matrix
@@ -613,6 +619,20 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "citeweight: data-error: [Errno 2] No such file or directory: ''\n"
 
+    @pytest.mark.parametrize("stage", ["read", "parse"])
+    def test_input_too_large_for_memory_is_data_error(self, capsys, monkeypatch, stage):
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        read = refuse if stage == "read" else lambda: b"1,2\n3,4\n"
+        stdin = types.SimpleNamespace(buffer=types.SimpleNamespace(read=read))
+        monkeypatch.setattr(sys, "stdin", stdin)
+        if stage == "parse":
+            monkeypatch.setattr("citeweight.cli.parse_matrix_csv", refuse)
+        code, out, err = run(capsys, "iw", "-")
+        assert (code, out) == (2, "")
+        assert err == "citeweight: data-error: input too large to hold in memory\n"
+
     def test_max_size_below_two_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("1,2\n3,4\n", encoding="utf-8")
@@ -1113,6 +1133,25 @@ class TestSubprocess:
         )
         assert result.returncode == code
         assert result.stderr == (f"citeweight: {message}\n" if message else "").encode()
+
+    @pytest.mark.skipif(
+        resource is None or not os.path.exists("/dev/zero"),
+        reason="needs the resource module and /dev/zero",
+    )
+    def test_endless_input_under_a_memory_limit_is_data_error(self):
+        # 300 MiB of address space holds the interpreter and numpy but not
+        # all of an endless input; one BLAS thread keeps numpy's own
+        # buffers from using up the limit on a machine with more CPUs
+        limit = 300 * 2**20
+        result = subprocess.run(
+            [sys.executable, "-m", "citeweight", "iw", "/dev/zero"],
+            capture_output=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr == b"citeweight: data-error: input too large to hold in memory\n"
 
     def test_error_line_to_a_reader_that_has_gone_keeps_the_exit_code(self):
         # the pipe's one reader is closed before the child writes its line
