@@ -22,7 +22,6 @@ import csv
 import itertools
 import json
 import math
-import re
 import unicodedata
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
@@ -64,8 +63,9 @@ class FitReport:
 @dataclass(frozen=True, eq=False)
 class Section:
     """One titled grid: a header row, one row of ``values`` per label, and
-    optional table-only footer lines.  ``values`` is a 2-D float array, or
-    an object array where a column must keep Python ints.
+    optional table-only footer lines.  ``values`` is a 2-D array: every
+    writer formats a float64 array's cells with 12 significant digits, and
+    in any other array a Python int keeps all its digits.
 
     A section is well formed: ``values`` has one row per label and one
     column per name in ``header[1:]``, labels and column names are unique,
@@ -108,12 +108,12 @@ format_number = "{:.12g}".format
 
 def _row_cells(sec: Section):
     """The ``%`` conversion of ``sec``'s cells, and its rows as tuples of
-    cells, converted one row at a time.  Floats take ``.12g``; an object
-    section's cells are rendered to text first (``s``), so that an int
-    keeps all its digits."""
+    cells, converted one row at a time.  A float64 section's cells take
+    ``.12g``; any other section's cells are rendered to text first (``s``),
+    so that an int keeps all its digits."""
     rows = (tuple(row.tolist()) for row in sec.values)
-    # only an object array can hold ints
-    if sec.values.dtype != object:
+    # a float64 array holds no int
+    if sec.values.dtype == np.float64:
         return ".12g", rows
     texts = (tuple(str(int(v)) if _is_int(v) else "%.12g" % v for v in row) for row in rows)
     return "s", texts
@@ -260,10 +260,6 @@ def _table_pieces(sections: Sequence[Section]):
         yield from (line + "\n" for line in sec.footer)
 
 
-# a field holding any of these may be quoted by csv.writer
-_CSV_SPECIAL = re.compile('[,"\r\n]')
-
-
 def _csv_line(row) -> str:
     # writerow returns what its file's write returns: here, the row's line
     return csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow(row)
@@ -272,8 +268,6 @@ def _csv_line(row) -> str:
 def _csv_label(label: str, lone: bool) -> str:
     """The text csv.writer gives ``label`` as the first field of a row, or
     as its only field (``lone``), where an empty field is quoted."""
-    if label and not _CSV_SPECIAL.search(label):
-        return label
     return _csv_line((label,) if lone else (label, ""))[: -1 if lone else -2]
 
 
@@ -299,27 +293,22 @@ def _json_section(sec: Section, indent: str):
     keys = (f"\n{indent}    {json.dumps(name)}: ".replace("%", "%%") for name in names)
     template = ",".join(key + "%s" for key in keys)
     template = "%s" if len(names) == 1 else f"{{{template}\n{indent}  }}" if names else "{}"
-    # a float64 array holds no int
-    ints = sec.values.dtype != float
+    # as in _row_cells, only an array other than float64 can hold an int
+    ints = sec.values.dtype != np.float64
     for label, row in zip(sec.labels, sec.values):
         cells = tuple(row.tolist())
-        joined = probe % cells
-        texts = joined.split(",") if joined else []
-        # A 12-digit text with a point and no exponent is already its
-        # float's repr.  Each text holds at most one of each, so the counts
-        # tell whether every text is one.  In any other row an int keeps
-        # its digits, an exponent form (.12g from 1e12 on, repr only from
-        # 1e16) is read back, nan is null and an integral text (below 1e12)
-        # gains ".0".
-        if joined.count(".") - joined.count("e") != len(texts):
-            texts = [
-                str(int(v)) if ints and _is_int(v)
-                else repr(float(t)) if "e" in t
-                else t if "." in t
-                else "null" if t == "nan"
-                else t + ".0"
-                for v, t in zip(cells, texts)
-            ]
+        # An int keeps its digits, an exponent form (.12g from 1e12 on,
+        # repr only from 1e16) is read back, a text with a point is already
+        # its float's repr, nan is null and an integral text (below 1e12)
+        # gains ".0".  With no column, the one empty text pairs with no cell.
+        texts = [
+            str(int(v)) if ints and _is_int(v)
+            else repr(float(t)) if "e" in t
+            else t if "." in t
+            else "null" if t == "nan"
+            else t + ".0"
+            for v, t in zip(cells, (probe % cells).split(","))
+        ]
         yield label, template % tuple(texts)
 
 

@@ -241,23 +241,29 @@ class TestParse:
         "text, readers",
         [
             ("1,2\n3,4\n", ["int64"]),
-            ("99999999999999999999,2\n3,4\n", ["int64", "float64"]),
-            ("1.5,2\n3,4\n", ["float64"]),
-            ("-0,2\n3,4\n", ["float64"]),
+            ("99999999999999999999,2\n3,4\n", ["int64", "csv"]),
+            ("1.5,2\n3,4\n", ["csv"]),
+            ("-0,2\n3,4\n", ["csv"]),
         ],
         ids=["integers", "past-int64", "fraction", "minus-zero"],
     )
     def test_integer_text_takes_the_integer_reader(self, monkeypatch, text, readers):
-        calls, loadtxt = [], np.loadtxt
+        calls, loadtxt, reader = [], np.loadtxt, csv.reader
 
         def recorded(*args, dtype, **kwargs):
             calls.append(np.dtype(dtype).name)
             return loadtxt(*args, dtype=dtype, **kwargs)
 
+        def recorded_reader(*args, **kwargs):
+            calls.append("csv")
+            return reader(*args, **kwargs)
+
         monkeypatch.setattr(np, "loadtxt", recorded)
+        monkeypatch.setattr(csv, "reader", recorded_reader)
         parse_matrix_csv(text)
-        # before numpy 2.4 the float reader reads all plain text
-        if not citeweight.matrix._STRICT_INTEGER_READER:
+        # before numpy 2.4 the float reader reads all integer text; any
+        # other text goes to the csv reader on every numpy
+        if not citeweight.matrix._STRICT_INTEGER_READER and readers[0] == "int64":
             readers = ["float64"]
         assert calls == readers
 

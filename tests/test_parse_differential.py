@@ -1,10 +1,11 @@
 """parse_matrix_csv against a per-cell float() reference, on tricky fields.
 
-The parser converts all cells in one bulk pass, and reads plain headerless
-text with numpy's C reader, integer text with its integer reader; the
-reference below keeps csv.reader and the plain row-major loop.  Both must
-agree bit for bit (sign of zero included) or fail with the same message
-naming the same first cell.
+The parser converts all cells in one bulk pass, and reads headerless
+unsigned integer text with numpy's C reader (its integer reader from
+numpy 2.4); every other text, decimals and signs included, goes through
+csv.reader.  The reference below keeps csv.reader and the plain row-major
+loop.  Both must agree bit for bit (sign of zero included) or fail with
+the same message naming the same first cell.
 """
 
 import csv
@@ -115,8 +116,9 @@ def test_labeled_grid_matches_reference(drawn, data):
     assert_same_outcome(reference_parse(labels, grid), write_csv(rows, eol), labeled=True)
 
 
-# Text over the alphabet that numpy's C reader is allowed to read: digits,
-# ".+-eE", commas, spaces, tabs and line breaks.
+# Text over digits, ".+-eE", commas, spaces, tabs and line breaks: the
+# integer text that numpy's C reader reads, and the decimal and signed
+# text, next to it, that goes to the csv reader.
 PLAIN_FIELDS = (
     ("0", "7", "2.5", "1e3", "1E-2", "+4", "-0", ".5", "5.", " 3 ", "\t6")
     + ("1e400", "-2")  # float() reads these, and CitationMatrix rejects the value
@@ -146,8 +148,9 @@ def reference_plain(text, max_size):
     return reference_parse(tuple(f"J{i}" for i in range(1, n + 1)), rows)
 
 
-# Integer text, which numpy's integer reader reads: the fields it takes,
-# and fields past int64 that it refuses, for the float reader to take.
+# Integer text, which numpy's C reader reads: the fields its integer reader
+# takes, and fields past int64 that it refuses, for the csv reader to take
+# (before numpy 2.4 the float reader reads them all).
 INTEGER_FIELDS = (
     ("0", "7", "007", " 12\t", "\t500 ", "123456", "9007199254740993")
     + ("9223372036854775807", "9223372036854775808", "99999999999999999999")

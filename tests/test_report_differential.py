@@ -206,6 +206,8 @@ def single_section(header, labels, rows, dtype=float):
 @example(single_section(("journal", "w", "x"), ("nan",), [[NAN, 0.5]]))
 @example(single_section(("journal",), ("", "nan"), np.empty((2, 0))))
 @example(single_section(("statistic", "value"), ("n_points",), [[10**13]], dtype=object))
+# an int64 array keeps its ints' digits in every writer, as an object one does
+@example(single_section(("statistic", "value"), ("n",), [[10**13]], dtype=np.int64))
 def test_writers_match_per_cell_reference(report):
     secs, meta = report
     assert render_sections(secs, "table", meta) == reference_table(secs)
