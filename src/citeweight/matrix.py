@@ -40,12 +40,6 @@ _LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 # reads; any other text, ".+-eE" included, goes to the csv reader.
 _INTEGER_BYTES = b"0123456789, \t\r\n"
 
-# numpy's integer reader, from 2.4, raises ValueError on a field it cannot
-# parse, such as one past int64.  From 1.23 to 2.3 it reads such a field
-# through float and casts the result to int64, with only a
-# DeprecationWarning, so before 2.4 the float reader reads integer text.
-_STRICT_INTEGER_READER = np.lib.NumpyVersion(np.__version__) >= "2.4.0"
-
 # Rows cast from int64 to float64 at a time; numpy buffers each block.
 _CAST_ROWS = 16
 
@@ -161,7 +155,10 @@ def _is_positive_count(value) -> bool:
 
 
 def _check_max_size(max_size: int, rows: int = 0) -> None:
-    """Refuse a max_size below 2, and a matrix of more rows than it."""
+    """Refuse a max_size that is not an integer of at least 2, and a matrix
+    of more rows than it."""
+    if not _is_int(max_size):
+        raise CitationDataError(f"max_size must be an integer, got {max_size!r}")
     if max_size < 2:
         raise CitationDataError(f"max_size must be at least 2, got {max_size!r}")
     if rows > max_size:
@@ -197,18 +194,18 @@ def parse_matrix_csv(
     CitationDataError
         For text the csv module cannot read, ragged or non-square grids,
         non-numeric or negative cells, duplicate or mismatched labels, sizes
-        outside [2, max_size], and a ``max_size`` below 2.
+        outside [2, max_size], and a ``max_size`` that is not an integer of
+        at least 2.
 
     Notes
     -----
     The accepted grammar is ``csv.reader`` rows with ``float()`` cells.
     Headerless unsigned integer text, made only of digits, commas,
-    spaces, tabs and line breaks, is read by numpy's C reader instead
-    (as int64 from numpy 2.4, as float64 before) and held as float64,
-    which gives the counts ``float()`` gives.  Any other text, and any
-    such text the C reader refuses, goes through the csv reader, which
-    words the errors; a grid the C reader reads is refused for its shape
-    alone, with the csv reader's message.
+    spaces, tabs and line breaks, is read by numpy's C reader instead,
+    as int64, and held as float64, which gives the counts ``float()``
+    gives.  Any other text, and any such text the C reader refuses, goes
+    through the csv reader, which words the errors; a grid the C reader
+    reads is refused for its shape alone, with the csv reader's message.
     """
     _check_max_size(max_size)
     if isinstance(data, bytes):
@@ -314,23 +311,19 @@ def _plain_grid(text: str, max_size: int) -> np.ndarray | None:
     # a longer field is a csv.Error on the reader path
     if max(map(len, lines)) > csv.field_size_limit():
         return None
-    dtype = np.int64 if _STRICT_INTEGER_READER else np.float64
     try:
-        # quotechar needs numpy 1.23, below the 1.24 that pyproject.toml requires
         values = np.loadtxt(
-            lines, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=2
+            lines, dtype=np.int64, delimiter=",", comments=None, quotechar=None, ndmin=2
         )
     except (ValueError, OverflowError):
         return None
-    if _STRICT_INTEGER_READER:
-        # Cast in place, so the counts are never held twice: numpy copies
-        # each overlapping block of rows before it converts it.
-        counts = values.view(np.float64)
-        for i in range(0, len(values), _CAST_ROWS):
-            counts[i : i + _CAST_ROWS] = values[i : i + _CAST_ROWS]
-        values = counts
-    _check_square(*values.shape)
-    return values
+    # Cast in place, so the counts are never held twice: numpy copies
+    # each overlapping block of rows before it converts it.
+    counts = values.view(np.float64)
+    for i in range(0, len(values), _CAST_ROWS):
+        counts[i : i + _CAST_ROWS] = values[i : i + _CAST_ROWS]
+    _check_square(*counts.shape)
+    return counts
 
 
 def _raise_first_non_numeric(cells: list[list[str]]) -> None:

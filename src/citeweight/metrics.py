@@ -331,10 +331,14 @@ def power_weakness_ratio(m: CitationMatrix, cycles: int) -> PowerWeaknessResult:
 
     Raises
     ------
+    CitationDataError
+        If ``cycles`` is not a cycle count, before any cycle is run.
     NumericalError
         If some journal's weakness weight is zero, naming it; the ratio is
         undefined there.  Also if a ratio overflows, naming the journal.
     """
+    # None would make each iteration a tolerance-mode run
+    _check_cycle_count("cycle count", cycles)
     power = power_iterate(m, cycles=cycles).final
     weakness = power_iterate(transpose(m), cycles=cycles).final
     zero = np.flatnonzero(weakness.values == 0)

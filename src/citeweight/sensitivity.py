@@ -142,7 +142,7 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> LinearFit:
     CitationDataError
         On fewer than two points or mismatched lengths.
     NumericalError
-        When x has no variance.
+        When x has no variance, or a mean or sum of the fit overflows.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -155,11 +155,15 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> LinearFit:
     if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
         raise CitationDataError("fit points must be finite")
 
-    xm = xa - xa.mean()
-    ym = ya - ya.mean()
-    sxx = float(xm @ xm)
-    syy = float(ym @ ym)
-    sxy = float(xm @ ym)
+    # an overflowed mean makes every sum after it non-finite too
+    with np.errstate(over="ignore", invalid="ignore"):
+        xm = xa - xa.mean()
+        ym = ya - ya.mean()
+        sxx = float(xm @ xm)
+        syy = float(ym @ ym)
+        sxy = float(xm @ ym)
+    if not all(map(math.isfinite, (sxx, syy, sxy))):
+        raise NumericalError("fit sums overflowed; rescale the values")
     if sxx == 0.0:
         raise NumericalError("all x values are identical; slope undefined")
     slope = sxy / sxx

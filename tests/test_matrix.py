@@ -169,6 +169,14 @@ class TestParse:
         with pytest.raises(CitationDataError, match=f"max_size must be at least 2, got {max_size}"):
             parse_matrix_csv(text, max_size=max_size)
 
+    @pytest.mark.parametrize("max_size", [float("nan"), 2.5, "3"], ids=["nan", "2.5", "str"])
+    def test_non_integer_max_size_is_rejected_up_front(self, max_size):
+        # nan compares False with every row count, so it would lift the cap
+        text = "\n".join(",".join("1" for _ in range(50)) for _ in range(50))
+        expected = f"^max_size must be an integer, got {max_size!r}$"
+        with pytest.raises(CitationDataError, match=expected):
+            parse_matrix_csv(text, max_size=max_size)
+
     def test_first_bad_cell_in_row_major_order_is_named(self):
         with pytest.raises(CitationDataError, match=r"row 1, column 2: 'x'"):
             parse_matrix_csv("1,x\ny,4\n")
@@ -261,10 +269,6 @@ class TestParse:
         monkeypatch.setattr(np, "loadtxt", recorded)
         monkeypatch.setattr(csv, "reader", recorded_reader)
         parse_matrix_csv(text)
-        # before numpy 2.4 the float reader reads all integer text; any
-        # other text goes to the csv reader on every numpy
-        if not citeweight.matrix._STRICT_INTEGER_READER and readers[0] == "int64":
-            readers = ["float64"]
         assert calls == readers
 
     def test_blank_lines_do_not_count_toward_the_size_cap(self):

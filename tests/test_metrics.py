@@ -484,6 +484,14 @@ class TestPowerWeakness:
         with pytest.raises(NumericalError, match="'A'"):
             power_weakness_ratio(m, 1)
 
+    @pytest.mark.parametrize("cycles", [None, 0, 2.5, True])
+    def test_bad_cycle_count_is_refused_before_any_cycle(self, cycles):
+        # the zero matrix vanishes at cycle 1, so this refusal ran no cycle
+        m = CitationMatrix(JournalSet(("A", "B")), np.zeros((2, 2)))
+        expected = f"^cycle count must be a positive integer, got {cycles!r}$"
+        with pytest.raises(CitationDataError, match=expected):
+            power_weakness_ratio(m, cycles)
+
     def test_transpose_swaps_power_and_weakness(self, price):
         forward = power_weakness_ratio(price, 5)
         backward = power_weakness_ratio(transpose(price), 5)

@@ -1,16 +1,14 @@
 """parse_matrix_csv against a per-cell float() reference, on tricky fields.
 
 The parser converts all cells in one bulk pass, and reads headerless
-unsigned integer text with numpy's C reader (its integer reader from
-numpy 2.4); every other text, decimals and signs included, goes through
-csv.reader.  The reference below keeps csv.reader and the plain row-major
+unsigned integer text with numpy's C integer reader; every other text,
+decimals and signs included, goes through csv.reader.  The reference below keeps csv.reader and the plain row-major
 loop.  Both must agree bit for bit (sign of zero included) or fail with
 the same message naming the same first cell.
 """
 
 import csv
 import io
-import warnings
 
 import numpy as np
 import pytest
@@ -149,8 +147,7 @@ def reference_plain(text, max_size):
 
 
 # Integer text, which numpy's C reader reads: the fields its integer reader
-# takes, and fields past int64 that it refuses, for the csv reader to take
-# (before numpy 2.4 the float reader reads them all).
+# takes, and fields past int64 that it refuses, for the csv reader to take.
 INTEGER_FIELDS = (
     ("0", "7", "007", " 12\t", "\t500 ", "123456", "9007199254740993")
     + ("9223372036854775807", "9223372036854775808", "99999999999999999999")
@@ -213,12 +210,7 @@ def test_field_in_integer_grid_keeps_its_float_value(field):
     text = f"1,2,3\n4,{field},6\n7,8,9\n"
     expected = reference_plain(text, 3)
     assert expected[1, 1].tobytes() == np.float64(float(field)).tobytes()
-    # numpy's deprecated fallback (from 1.23) reads a field past int64
-    # through float with only this warning, and casts it to int64; with the
-    # warning ignored, a parse that used such a reader gives a wrong count
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        assert_same_outcome(expected, text, max_size=3)
+    assert_same_outcome(expected, text, max_size=3)
 
 
 def test_integer_grid_is_cast_in_every_row():

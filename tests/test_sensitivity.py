@@ -213,6 +213,20 @@ class TestLinearFit:
         with pytest.raises(CitationDataError):
             linear_fit(np.array([1.0, np.nan]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([0.0, 1e155, 3.0], [1.0, 2.0, 3.0]),
+            ([0.0, 1.0, 2.0], [0.0, 1e200, -1e200]),
+            ([1e308, 1e308, 0.0], [1.0, 2.0, 3.0]),
+        ],
+        ids=["x-sum", "y-sum", "mean"],
+    )
+    def test_overflowed_sum_is_an_error(self, x, y):
+        # the overflowed sums once gave slope 0 and r 0 with a warning
+        with pytest.raises(NumericalError, match="^fit sums overflowed"):
+            linear_fit(np.array(x), np.array(y))
+
     def test_matches_polyfit_oracle(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(0, 10, 40)
