@@ -312,8 +312,16 @@ def _plain_grid(text: str, max_size: int) -> np.ndarray | None:
     if max(map(len, lines)) > csv.field_size_limit():
         return None
     try:
+        # every line is a row, so max_rows lets numpy size the counts once
+        # instead of growing them
         values = np.loadtxt(
-            lines, dtype=np.int64, delimiter=",", comments=None, quotechar=None, ndmin=2
+            lines,
+            dtype=np.int64,
+            delimiter=",",
+            comments=None,
+            quotechar=None,
+            ndmin=2,
+            max_rows=len(lines),
         )
     except (ValueError, OverflowError):
         return None
@@ -382,6 +390,13 @@ def _margin_totals(m: CitationMatrix) -> MarginTotals:
     cited.setflags(write=False)
     citing.setflags(write=False)
     return MarginTotals(cited, citing)
+
+
+def _stripped_margins(m: CitationMatrix) -> MarginTotals:
+    """``margins(strip_self_citations(m))``, kept on ``m`` as its margins
+    are: the stripped copy is summed and dropped, and a later call returns
+    the kept totals.  Raises what ``margins`` of the copy raises."""
+    return _kept(m, ("stripped_margins",), lambda: margins(strip_self_citations(m)))
 
 
 def transpose(m: CitationMatrix) -> CitationMatrix:

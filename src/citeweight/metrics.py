@@ -18,12 +18,13 @@ from .errors import CitationDataError, NumericalError
 from .matrix import (
     CitationMatrix,
     JournalSet,
+    MarginTotals,
     _adopt,
     _checked,
     _is_positive_count,
     _kept,
+    _stripped_margins,
     margins,
-    strip_self_citations,
     transpose,
 )
 
@@ -137,7 +138,10 @@ def pinski_narin_normalize(m: CitationMatrix) -> NormalizedMatrix:
 
     The divisor for row i is journal i's own reference total (the column-i
     margin), so the result is dimensionless: citations received per
-    reference given.
+    reference given.  To leave out self-citations, pass
+    :func:`strip_self_citations` of the matrix.
+    ``self_citation_sensitivity`` gets the same bytes without that copy,
+    from the counts and the stripped totals kept on the matrix.
 
     Raises
     ------
@@ -146,7 +150,15 @@ def pinski_narin_normalize(m: CitationMatrix) -> NormalizedMatrix:
         isolated journal must be removed before normalizing.  Also if a
         margin total or a quotient overflows, naming the cell.
     """
-    totals = margins(m)
+    return _normalize(m, stripped=False)
+
+
+def _normalize(m: CitationMatrix, stripped: bool) -> NormalizedMatrix:
+    """``pinski_narin_normalize`` of ``m``, or with ``stripped`` of
+    ``strip_self_citations(m)``, bit for bit and with the same errors:
+    off the diagonal the quotients are the same, and the stripped
+    diagonal is 0 either way."""
+    totals = _stripped_margins(m) if stripped else margins(m)
     citing = totals.citing_totals
     labels = m.journals.labels
     silent = np.flatnonzero(citing == 0)
@@ -158,6 +170,10 @@ def pinski_narin_normalize(m: CitationMatrix) -> NormalizedMatrix:
         # no cell of row i exceeds cited_i / citing_i, so only a row whose
         # bound overflows can hold an overflowed cell
         bounds = totals.cited_totals / citing
+    if stripped:
+        # a self-citation count is not bounded by the stripped totals, so
+        # it is zeroed before the scan
+        np.fill_diagonal(values, 0.0)
     for i in np.flatnonzero(np.isinf(bounds)):
         overflowed = np.flatnonzero(np.isinf(values[i]))
         if overflowed.size:
@@ -298,6 +314,31 @@ def influence_trace(
     key = ("influence_trace", cycles, tolerance, max_cycles)
     iteration = dict(cycles=cycles, tolerance=tolerance, max_cycles=max_cycles)
     trace = _kept(m, key, lambda: power_iterate(pinski_narin_normalize(m), **iteration))
+    return _converged(trace, cycles, tolerance, max_cycles)
+
+
+def _stripped_influence_trace(
+    m: CitationMatrix,
+    *,
+    cycles: int | None = None,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
+) -> IterationTrace:
+    """The trace ``influence_trace(strip_self_citations(m))`` returns, or
+    the error it raises, iterated on ``m``'s counts normalized by its kept
+    stripped totals, so no stripped copy is made.  The trace is not kept
+    on ``m``."""
+    check_iteration_args(cycles, tolerance, max_cycles)
+    trace = power_iterate(
+        _normalize(m, stripped=True), cycles=cycles, tolerance=tolerance, max_cycles=max_cycles
+    )
+    return _converged(trace, cycles, tolerance, max_cycles)
+
+
+def _converged(
+    trace: IterationTrace, cycles: int | None, tolerance: float, max_cycles: int
+) -> IterationTrace:
+    """``trace``, unless it is a tolerance-mode run that did not converge."""
     if cycles is None and not trace.converged:
         raise NumericalError(
             f"influence weights did not converge within {max_cycles} cycles "
@@ -363,12 +404,13 @@ def self_citation_diagnostics(m: CitationMatrix) -> SelfCitationDiagnostics:
     The cross terms sum the off-diagonal cells (the margins of
     :func:`strip_self_citations`, as ``sensitivity`` reports them); a total
     minus its diagonal cell would cancel where self-citations dominate.
+    They are summed once per matrix and kept on it with its margins, so
+    after ``self_citation_sensitivity`` no n-by-n array is made.
     Zero-denominator rates and ratios are NaN, since a journal with no
     received citations or no references is valid data.
     """
     totals = margins(m)
-    stripped = strip_self_citations(m)
-    others = margins(stripped)
+    others = _stripped_margins(m)
     self_counts = np.diagonal(m.counts).copy()
     arrays = dict(
         self_citations=self_counts,
@@ -376,8 +418,8 @@ def self_citation_diagnostics(m: CitationMatrix) -> SelfCitationDiagnostics:
         citing_others=others.citing_totals,
         self_cited_rate=_safe_divide(self_counts, totals.cited_totals),
         self_citing_rate=_safe_divide(self_counts, totals.citing_totals),
-        cited_citing_ratio_with=cited_citing_ratio(m),
-        cited_citing_ratio_without=cited_citing_ratio(stripped),
+        cited_citing_ratio_with=_margin_ratio(totals),
+        cited_citing_ratio_without=_margin_ratio(others),
     )
     for values in arrays.values():
         values.setflags(write=False)
@@ -386,7 +428,10 @@ def self_citation_diagnostics(m: CitationMatrix) -> SelfCitationDiagnostics:
 
 def cited_citing_ratio(m: CitationMatrix) -> np.ndarray:
     """Cited over citing totals, read-only; NaN where the citing total is 0."""
-    totals = margins(m)
+    return _margin_ratio(margins(m))
+
+
+def _margin_ratio(totals: MarginTotals) -> np.ndarray:
     ratio = _safe_divide(totals.cited_totals, totals.citing_totals)
     ratio.setflags(write=False)
     return ratio

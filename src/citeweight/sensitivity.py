@@ -8,16 +8,19 @@ paired indicator values to quantify how closely two variants agree.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CitationDataError, NumericalError
-from .matrix import CitationMatrix, JournalSet, margins, strip_self_citations
+from .matrix import CitationMatrix, JournalSet, _stripped_margins, margins
 from .metrics import (
     DEFAULT_MAX_CYCLES,
     DEFAULT_TOLERANCE,
+    _margin_ratio,
     _safe_divide,
+    _stripped_influence_trace,
     cited_citing_ratio,
     check_iteration_args,
     influence_weights,
@@ -27,13 +30,25 @@ INDICATOR_IW = "iw"
 
 
 def _indicators(**iteration) -> dict:
-    """Each indicator as a function of one matrix, ``iw`` run with the
-    ``iteration`` arguments.  Built on each call, so that wrappers put on
-    this module's attributes see every call."""
+    """Each indicator as a (with, without) pair of functions of one
+    matrix, ``iw`` run with the ``iteration`` arguments.  The without
+    function gives what the with function gives for
+    ``strip_self_citations`` of the matrix, bit for bit, without that
+    copy.  Built on each call, so that wrappers put on this module's
+    attributes see every call."""
     return {
-        INDICATOR_IW: lambda x: influence_weights(x, **iteration).values,
-        "raw_cited": lambda x: margins(x).cited_totals,
-        "cited_citing_ratio": cited_citing_ratio,
+        INDICATOR_IW: (
+            lambda x: influence_weights(x, **iteration).values,
+            lambda x: _stripped_influence_trace(x, **iteration).final.values,
+        ),
+        "raw_cited": (
+            lambda x: margins(x).cited_totals,
+            lambda x: _stripped_margins(x).cited_totals,
+        ),
+        "cited_citing_ratio": (
+            cited_citing_ratio,
+            lambda x: _margin_ratio(_stripped_margins(x)),
+        ),
     }
 
 
@@ -82,9 +97,12 @@ def self_citation_sensitivity(
     margin ratio).  The iteration arguments only affect ``iw``, but are
     validated for every indicator.
 
-    Each indicator is one function of a matrix, applied to ``m`` and then
-    to :func:`strip_self_citations` of ``m``; so for ``iw`` the reference
+    Each without-value is, bit for bit, the indicator of
+    :func:`strip_self_citations` of ``m``; so for ``iw`` the reference
     totals are recomputed from the stripped matrix rather than inherited.
+    No stripped copy is made: the stripped margin totals are kept on
+    ``m``, and the ``iw`` without-run divides ``m``'s counts by them, one
+    n-by-n array.  Its trace, unlike the with-run's, is not kept on ``m``.
 
     Converged ``iw`` weights depend only on the off-diagonal counts:
     subtract ``C_ii w_i`` from both sides of ``R_i w_i = sum_j C_ij w_j``.
@@ -104,8 +122,9 @@ def self_citation_sensitivity(
         raise CitationDataError(
             f"unknown indicator {indicator!r}; choose one of {', '.join(INDICATORS)}"
         )
-    of = _indicators(cycles=cycles, tolerance=tolerance, max_cycles=max_cycles)[indicator]
-    with_values, without_values = of(m), of(strip_self_citations(m))
+    iteration = dict(cycles=cycles, tolerance=tolerance, max_cycles=max_cycles)
+    with_of, without_of = _indicators(**iteration)[indicator]
+    with_values, without_values = with_of(m), without_of(m)
 
     # an overflowed change stays inf; the report layer refuses to print it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -168,5 +187,12 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> LinearFit:
         raise NumericalError("all x values are identical; slope undefined")
     slope = sxy / sxx
     intercept = float(ya.mean() - slope * xa.mean())
-    pearson_r = sxy / math.sqrt(sxx * syy) if syy > 0.0 else 0.0
+    # the product can overflow, or lose digits below the normal range,
+    # where the two roots do not
+    product = sxx * syy
+    if math.isinf(product) or product < sys.float_info.min:
+        root = math.sqrt(sxx) * math.sqrt(syy)
+    else:
+        root = math.sqrt(product)
+    pearson_r = sxy / root if syy > 0.0 else 0.0
     return LinearFit(slope, intercept, pearson_r, int(xa.size))

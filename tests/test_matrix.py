@@ -258,9 +258,11 @@ class TestParse:
     def test_integer_text_takes_the_integer_reader(self, monkeypatch, text, readers):
         calls, loadtxt, reader = [], np.loadtxt, csv.reader
 
-        def recorded(*args, dtype, **kwargs):
+        def recorded(lines, *args, dtype, **kwargs):
             calls.append(np.dtype(dtype).name)
-            return loadtxt(*args, dtype=dtype, **kwargs)
+            # one row per line, so numpy allocates the counts once
+            assert kwargs.get("max_rows") == len(lines)
+            return loadtxt(lines, *args, dtype=dtype, **kwargs)
 
         def recorded_reader(*args, **kwargs):
             calls.append("csv")

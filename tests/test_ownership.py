@@ -219,10 +219,30 @@ def test_non_square_plain_grid_is_refused_after_one_read():
     assert _traced_peak(refuse) <= MATRIX_BYTES
 
 
+@pytest.mark.parametrize(
+    "before, func, matrices",
+    [
+        # the with-run's trace is kept, so the one matrix is the counts
+        # normalized by the stripped totals; a stripped copy beside it
+        # would make two
+        (influence_weights, self_citation_sensitivity, 1.1),
+        # the stripped totals were kept by the sensitivity run, so no
+        # n-by-n array is made at all
+        (self_citation_sensitivity, self_citation_diagnostics, 0.1),
+    ],
+    ids=["sensitivity-after-weights", "diagnostics-after-sensitivity"],
+)
+def test_without_self_citations_needs_no_stripped_copy(large, before, func, matrices):
+    m = CitationMatrix(large.journals, large.counts)
+    before(m)
+    assert _traced_peak(func, m) <= matrices * MATRIX_BYTES
+
+
 def test_a_matrix_keeps_no_n_by_n_array(large):
-    # what a matrix keeps after these calls is its margin totals and one
-    # influence trace, a few n-vectors; the normalized, stripped and
-    # transposed matrices the calls made are gone with their results
+    # what a matrix keeps after these calls is its margin totals, those of
+    # its stripped copy and one influence trace, a few n-vectors; the
+    # normalized, stripped and transposed matrices the calls made are gone
+    # with their results
     m = CitationMatrix(large.journals, large.counts)
     tracemalloc.start()
     try:

@@ -347,6 +347,30 @@ def zero_heavy_matrices(draw):
     return make_matrix(counts.reshape(n, n))
 
 
+@EXAMPLES
+@given(zero_heavy_matrices(), st.sampled_from([None, 1, 7]))
+# A's stripped reference total is 1e-300, so its stripped row bound
+# overflows, and its self-citation cell would too, were it not zeroed
+# before the overflow scan
+@example(make_matrix([[1e9, 1e8, 1e8], [1e-300, 1, 1], [0, 1, 1]]), 7)
+def test_without_run_fails_as_the_stripped_matrix_does(m, cycles):
+    # the iw without-run normalizes the counts by the stripped totals; its
+    # weights, and the error of whichever run fails first, must be those of
+    # the with-run and then the stripped copy
+    def outcome(run):
+        try:
+            return run().tobytes()
+        except NumericalError as exc:
+            return str(exc)
+
+    with_run = outcome(lambda: influence_weights(m, cycles=cycles).values)
+    stripped_run = outcome(
+        lambda: influence_weights(strip_self_citations(m), cycles=cycles).values
+    )
+    expected = with_run if isinstance(with_run, str) else stripped_run
+    assert outcome(lambda: self_citation_sensitivity(m, cycles=cycles).without_values) == expected
+
+
 CLI_FORMS = (
     ["iw"],
     ["iw", "--no-self-citations"],

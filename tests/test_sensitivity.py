@@ -227,6 +227,13 @@ class TestLinearFit:
         with pytest.raises(NumericalError, match="^fit sums overflowed"):
             linear_fit(np.array(x), np.array(y))
 
+    @pytest.mark.parametrize("scale", [1e100, 1e-100, 1e-80])
+    def test_perfect_line_far_from_unit_scale(self, scale):
+        # sxx * syy overflowed to r = 0, underflowed to a ZeroDivisionError,
+        # or lost digits below the normal range to r = 1.0000056
+        x = np.array([0.0, scale, 2.0 * scale])
+        assert linear_fit(x, x).pearson_r == pytest.approx(1.0, rel=1e-15)
+
     def test_matches_polyfit_oracle(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(0, 10, 40)
