@@ -303,9 +303,8 @@ def _fit(m, args):
 
 
 # subcommand: (meta indicator, (matrix, args) -> (result, its own meta keys)).
-# Every entry looks the library functions up in this module when called, not
-# at import, so wrappers put on this module's attributes (bench/tracer.py)
-# see each call.
+# A function body looks its names up at call time, so wrappers put on this
+# module's attributes (bench/tracer.py) see each call.
 _COMMANDS = {
     "iw": ("iw", _iw),
     "pwr": ("pwr", _pwr),
@@ -358,17 +357,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         sections, meta = _run(args)
         # every refusal comes before the first piece, so before --output ("" is
-        # a path too) opens; each piece goes out as made: as UTF-8 whatever the
-        # locale, or as text to a stdout with no bytes beneath (an io.StringIO)
+        # a path too) opens; each piece goes out as made: as UTF-8 bytes, the
+        # same to a file as to stdout whatever the locale or platform, or as
+        # text to a stdout with no bytes beneath (an io.StringIO)
         pieces = report_pieces(sections, args.format, meta)
+        encoded = (piece.encode() for piece in pieces)
         if args.output is not None:
-            with open(args.output, "w", encoding="utf-8") as file:
-                file.writelines(pieces)
+            with open(args.output, "wb") as file:
+                file.writelines(encoded)
         elif sys.stdout is None:
             raise CitationDataError("stdout is closed")
         elif hasattr(sys.stdout, "buffer"):
             sys.stdout.flush()
-            sys.stdout.buffer.writelines(piece.encode() for piece in pieces)
+            sys.stdout.buffer.writelines(encoded)
             # a reader that has gone fails here, not at exit
             sys.stdout.buffer.flush()
         else:

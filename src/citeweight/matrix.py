@@ -374,7 +374,18 @@ def margins(m: CitationMatrix) -> MarginTotals:
         If a total overflows, naming the first journal whose total is not
         finite.
     """
-    return _kept(m, ("margins",), lambda: _margin_totals(m))
+    return _margins(m, stripped=False)
+
+
+def _margins(m: CitationMatrix, stripped: bool) -> MarginTotals:
+    """``margins(m)``, or with ``stripped`` the totals and errors of
+    ``margins(strip_self_citations(m))``, each kept on ``m``: a stripped
+    copy is summed and dropped."""
+    return _kept(
+        m,
+        ("margins", stripped),
+        lambda: _margin_totals(strip_self_citations(m) if stripped else m),
+    )
 
 
 def _margin_totals(m: CitationMatrix) -> MarginTotals:
@@ -390,13 +401,6 @@ def _margin_totals(m: CitationMatrix) -> MarginTotals:
     cited.setflags(write=False)
     citing.setflags(write=False)
     return MarginTotals(cited, citing)
-
-
-def _stripped_margins(m: CitationMatrix) -> MarginTotals:
-    """``margins(strip_self_citations(m))``, kept on ``m`` as its margins
-    are: the stripped copy is summed and dropped, and a later call returns
-    the kept totals.  Raises what ``margins`` of the copy raises."""
-    return _kept(m, ("stripped_margins",), lambda: margins(strip_self_citations(m)))
 
 
 def transpose(m: CitationMatrix) -> CitationMatrix:

@@ -23,7 +23,7 @@ from .matrix import (
     _checked,
     _is_positive_count,
     _kept,
-    _stripped_margins,
+    _margins,
     margins,
     transpose,
 )
@@ -140,8 +140,6 @@ def pinski_narin_normalize(m: CitationMatrix) -> NormalizedMatrix:
     margin), so the result is dimensionless: citations received per
     reference given.  To leave out self-citations, pass
     :func:`strip_self_citations` of the matrix.
-    ``self_citation_sensitivity`` gets the same bytes without that copy,
-    from the counts and the stripped totals kept on the matrix.
 
     Raises
     ------
@@ -158,7 +156,7 @@ def _normalize(m: CitationMatrix, stripped: bool) -> NormalizedMatrix:
     ``strip_self_citations(m)``, bit for bit and with the same errors:
     off the diagonal the quotients are the same, and the stripped
     diagonal is 0 either way."""
-    totals = _stripped_margins(m) if stripped else margins(m)
+    totals = _margins(m, stripped)
     citing = totals.citing_totals
     labels = m.journals.labels
     silent = np.flatnonzero(citing == 0)
@@ -310,35 +308,30 @@ def influence_trace(
         above ``tolerance`` after ``max_cycles`` cycles.  Fixed-cycle runs
         return their trace whatever its ``converged`` flag.
     """
-    check_iteration_args(cycles, tolerance, max_cycles)
-    key = ("influence_trace", cycles, tolerance, max_cycles)
-    iteration = dict(cycles=cycles, tolerance=tolerance, max_cycles=max_cycles)
-    trace = _kept(m, key, lambda: power_iterate(pinski_narin_normalize(m), **iteration))
-    return _converged(trace, cycles, tolerance, max_cycles)
+    return _influence_trace(m, False, cycles, tolerance, max_cycles)
 
 
-def _stripped_influence_trace(
+def _influence_trace(
     m: CitationMatrix,
-    *,
-    cycles: int | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
+    stripped: bool,
+    cycles: int | None,
+    tolerance: float,
+    max_cycles: int,
 ) -> IterationTrace:
-    """The trace ``influence_trace(strip_self_citations(m))`` returns, or
-    the error it raises, iterated on ``m``'s counts normalized by its kept
-    stripped totals, so no stripped copy is made.  The trace is not kept
-    on ``m``."""
+    """``influence_trace(m)``, or with ``stripped`` the trace or error of
+    ``influence_trace(strip_self_citations(m))``, bit for bit, iterated on
+    ``m``'s counts divided by its kept stripped totals, so no stripped copy
+    is made.  Only the with-run's trace is kept on ``m``."""
     check_iteration_args(cycles, tolerance, max_cycles)
-    trace = power_iterate(
-        _normalize(m, stripped=True), cycles=cycles, tolerance=tolerance, max_cycles=max_cycles
-    )
-    return _converged(trace, cycles, tolerance, max_cycles)
 
+    def run() -> IterationTrace:
+        normalized = _normalize(m, True) if stripped else pinski_narin_normalize(m)
+        return power_iterate(
+            normalized, cycles=cycles, tolerance=tolerance, max_cycles=max_cycles
+        )
 
-def _converged(
-    trace: IterationTrace, cycles: int | None, tolerance: float, max_cycles: int
-) -> IterationTrace:
-    """``trace``, unless it is a tolerance-mode run that did not converge."""
+    key = ("influence_trace", cycles, tolerance, max_cycles)
+    trace = run() if stripped else _kept(m, key, run)
     if cycles is None and not trace.converged:
         raise NumericalError(
             f"influence weights did not converge within {max_cycles} cycles "
@@ -401,16 +394,15 @@ def power_weakness_ratio(m: CitationMatrix, cycles: int) -> PowerWeaknessResult:
 def self_citation_diagnostics(m: CitationMatrix) -> SelfCitationDiagnostics:
     """Split each journal's citation traffic into self and cross terms.
 
-    The cross terms sum the off-diagonal cells (the margins of
-    :func:`strip_self_citations`, as ``sensitivity`` reports them); a total
-    minus its diagonal cell would cancel where self-citations dominate.
-    They are summed once per matrix and kept on it with its margins, so
-    after ``self_citation_sensitivity`` no n-by-n array is made.
+    The cross terms are the margins of :func:`strip_self_citations` of the
+    matrix, summed over the off-diagonal cells: a total minus its diagonal
+    cell would cancel where self-citations dominate.  Both sets of totals
+    are kept on the matrix, as :func:`margins` keeps its own.
     Zero-denominator rates and ratios are NaN, since a journal with no
     received citations or no references is valid data.
     """
     totals = margins(m)
-    others = _stripped_margins(m)
+    others = _margins(m, stripped=True)
     self_counts = np.diagonal(m.counts).copy()
     arrays = dict(
         self_citations=self_counts,
@@ -424,11 +416,6 @@ def self_citation_diagnostics(m: CitationMatrix) -> SelfCitationDiagnostics:
     for values in arrays.values():
         values.setflags(write=False)
     return SelfCitationDiagnostics(m.journals, **arrays)
-
-
-def cited_citing_ratio(m: CitationMatrix) -> np.ndarray:
-    """Cited over citing totals, read-only; NaN where the citing total is 0."""
-    return _margin_ratio(margins(m))
 
 
 def _margin_ratio(totals: MarginTotals) -> np.ndarray:

@@ -14,45 +14,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CitationDataError, NumericalError
-from .matrix import CitationMatrix, JournalSet, _stripped_margins, margins
+from .matrix import CitationMatrix, JournalSet, _margins
 from .metrics import (
     DEFAULT_MAX_CYCLES,
     DEFAULT_TOLERANCE,
+    _influence_trace,
     _margin_ratio,
     _safe_divide,
-    _stripped_influence_trace,
-    cited_citing_ratio,
     check_iteration_args,
-    influence_weights,
 )
 
 INDICATOR_IW = "iw"
 
 
-def _indicators(**iteration) -> dict:
-    """Each indicator as a (with, without) pair of functions of one
-    matrix, ``iw`` run with the ``iteration`` arguments.  The without
-    function gives what the with function gives for
-    ``strip_self_citations`` of the matrix, bit for bit, without that
-    copy.  Built on each call, so that wrappers put on this module's
-    attributes see every call."""
-    return {
-        INDICATOR_IW: (
-            lambda x: influence_weights(x, **iteration).values,
-            lambda x: _stripped_influence_trace(x, **iteration).final.values,
-        ),
-        "raw_cited": (
-            lambda x: margins(x).cited_totals,
-            lambda x: _stripped_margins(x).cited_totals,
-        ),
-        "cited_citing_ratio": (
-            cited_citing_ratio,
-            lambda x: _margin_ratio(_stripped_margins(x)),
-        ),
-    }
+# Each indicator as one function of (matrix, stripped, iteration
+# arguments).  Unstripped it is the indicator of the matrix; stripped it is,
+# bit for bit and with the same errors, that of strip_self_citations of the
+# matrix, computed without iterating or keeping that copy.
 
 
-INDICATORS = tuple(_indicators())
+def _influence_weights(m: CitationMatrix, stripped: bool, iteration: dict) -> np.ndarray:
+    return _influence_trace(m, stripped, **iteration).final.values
+
+
+def _raw_cited(m: CitationMatrix, stripped: bool, iteration: dict) -> np.ndarray:
+    return _margins(m, stripped).cited_totals
+
+
+def _cited_citing_ratio(m: CitationMatrix, stripped: bool, iteration: dict) -> np.ndarray:
+    return _margin_ratio(_margins(m, stripped))
+
+
+_INDICATOR_VALUES = {
+    INDICATOR_IW: _influence_weights,
+    "raw_cited": _raw_cited,
+    "cited_citing_ratio": _cited_citing_ratio,
+}
+INDICATORS = tuple(_INDICATOR_VALUES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,9 +98,6 @@ def self_citation_sensitivity(
     Each without-value is, bit for bit, the indicator of
     :func:`strip_self_citations` of ``m``; so for ``iw`` the reference
     totals are recomputed from the stripped matrix rather than inherited.
-    No stripped copy is made: the stripped margin totals are kept on
-    ``m``, and the ``iw`` without-run divides ``m``'s counts by them, one
-    n-by-n array.  Its trace, unlike the with-run's, is not kept on ``m``.
 
     Converged ``iw`` weights depend only on the off-diagonal counts:
     subtract ``C_ii w_i`` from both sides of ``R_i w_i = sum_j C_ij w_j``.
@@ -123,8 +118,9 @@ def self_citation_sensitivity(
             f"unknown indicator {indicator!r}; choose one of {', '.join(INDICATORS)}"
         )
     iteration = dict(cycles=cycles, tolerance=tolerance, max_cycles=max_cycles)
-    with_of, without_of = _indicators(**iteration)[indicator]
-    with_values, without_values = with_of(m), without_of(m)
+    values_of = _INDICATOR_VALUES[indicator]
+    with_values = values_of(m, False, iteration)
+    without_values = values_of(m, True, iteration)
 
     # an overflowed change stays inf; the report layer refuses to print it
     with np.errstate(over="ignore", invalid="ignore"):

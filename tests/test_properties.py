@@ -348,27 +348,37 @@ def zero_heavy_matrices(draw):
 
 
 @EXAMPLES
-@given(zero_heavy_matrices(), st.sampled_from([None, 1, 7]))
+@given(zero_heavy_matrices(), st.sampled_from(INDICATORS), st.sampled_from([None, 1, 7]))
 # A's stripped reference total is 1e-300, so its stripped row bound
 # overflows, and its self-citation cell would too, were it not zeroed
 # before the overflow scan
-@example(make_matrix([[1e9, 1e8, 1e8], [1e-300, 1, 1], [0, 1, 1]]), 7)
-def test_without_run_fails_as_the_stripped_matrix_does(m, cycles):
-    # the iw without-run normalizes the counts by the stripped totals; its
-    # weights, and the error of whichever run fails first, must be those of
-    # the with-run and then the stripped copy
+@example(make_matrix([[1e9, 1e8, 1e8], [1e-300, 1, 1], [0, 1, 1]]), "iw", 7)
+# B's cited total overflows with self-citations and not without
+@example(make_matrix([[1, 1, 1], [1, 1.7e308, 1.7e308], [1, 0, 1]]), "raw_cited", None)
+def test_without_run_fails_as_the_stripped_matrix_does(m, indicator, cycles):
+    # the without-run reads the counts and the stripped totals; its values,
+    # and the error of whichever run fails first, must be those of the
+    # with-run and then the stripped copy
     def outcome(run):
         try:
             return run().tobytes()
         except NumericalError as exc:
             return str(exc)
 
-    with_run = outcome(lambda: influence_weights(m, cycles=cycles).values)
+    if indicator == "iw":
+        with_run = outcome(lambda: influence_weights(m, cycles=cycles).values)
+    else:
+        with_run = outcome(lambda: margins(m).cited_totals)
     stripped_run = outcome(
-        lambda: influence_weights(strip_self_citations(m), cycles=cycles).values
+        lambda: self_citation_sensitivity(
+            strip_self_citations(m), indicator, cycles=cycles
+        ).with_values
     )
     expected = with_run if isinstance(with_run, str) else stripped_run
-    assert outcome(lambda: self_citation_sensitivity(m, cycles=cycles).without_values) == expected
+    without_run = outcome(
+        lambda: self_citation_sensitivity(m, indicator, cycles=cycles).without_values
+    )
+    assert without_run == expected
 
 
 CLI_FORMS = (
