@@ -129,6 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
+        dest="cycles",
         help=f"run exactly K cycles (at most {CYCLE_CEILING}), not to tolerance",
     )
     iteration.add_argument(
@@ -143,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_MAX_CYCLES,
         metavar="N",
-        dest="max_iterations",
+        dest="max_cycles",
         help=f"cycle budget to tolerance (default %(default)s, at most {CYCLE_CEILING})",
     )
 
@@ -171,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=7,
         metavar="K",
+        dest="cycles",
         help=f"cycles for both component iterations (default 7, at most {CYCLE_CEILING})",
     )
     sub.add_parser(
@@ -249,11 +251,7 @@ def _read(path: str) -> bytes | str:
 
 
 def _iteration(args) -> dict:
-    return {
-        "cycles": args.iterations,
-        "tolerance": args.tolerance,
-        "max_cycles": args.max_iterations,
-    }
+    return {"cycles": args.cycles, "tolerance": args.tolerance, "max_cycles": args.max_cycles}
 
 
 def _fit_report(m: CitationMatrix, **iteration) -> FitReport:
@@ -272,7 +270,7 @@ def _iw(m, args):
 
 
 def _pwr(m, args):
-    result = power_weakness_ratio(m, args.iterations)
+    result = power_weakness_ratio(m, args.cycles)
     return result, {"iterations": result.cycles}
 
 
@@ -284,7 +282,7 @@ def _sensitivity(m, args):
     report = self_citation_sensitivity(m, args.indicator, **_iteration(args))
     return report, {
         "compared": args.indicator,
-        "iterations": args.iterations,
+        "iterations": args.cycles,
         "tolerance": args.tolerance,
         "max_abs_pct_change": json_cell(report.max_abs_pct_change),
         "mean_abs_pct_change": json_cell(report.mean_abs_pct_change),
@@ -294,7 +292,7 @@ def _sensitivity(m, args):
 def _fit(m, args):
     report = _fit_report(m, **_iteration(args))
     return report, {
-        "iterations": args.iterations,
+        "iterations": args.cycles,
         "tolerance": args.tolerance,
         "slope": json_cell(report.fit.slope),
         "intercept": json_cell(report.fit.intercept),

@@ -40,7 +40,8 @@ _LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 # reads; any other text, ".+-eE" included, goes to the csv reader.
 _INTEGER_BYTES = b"0123456789, \t\r\n"
 
-# Rows cast from int64 to float64 at a time; numpy buffers each block.
+# Rows cast from int64 to float64, or summed without their self-citation
+# cells, at a time, where a whole n-by-n copy is not made.
 _CAST_ROWS = 16
 
 
@@ -379,19 +380,28 @@ def margins(m: CitationMatrix) -> MarginTotals:
 
 def _margins(m: CitationMatrix, stripped: bool) -> MarginTotals:
     """``margins(m)``, or with ``stripped`` the totals and errors of
-    ``margins(strip_self_citations(m))``, each kept on ``m``: a stripped
-    copy is summed and dropped."""
-    return _kept(
-        m,
-        ("margins", stripped),
-        lambda: _margin_totals(strip_self_citations(m) if stripped else m),
-    )
+    ``margins(strip_self_citations(m))``, each kept on ``m``."""
+    return _kept(m, ("margins", stripped), lambda: _margin_totals(m, stripped))
 
 
-def _margin_totals(m: CitationMatrix) -> MarginTotals:
+def _margin_totals(m: CitationMatrix, stripped: bool) -> MarginTotals:
     with np.errstate(over="ignore"):
-        cited = m.counts.sum(axis=1)
-        citing = m.counts.sum(axis=0)
+        if not stripped:
+            cited = m.counts.sum(axis=1)
+            citing = m.counts.sum(axis=0)
+        else:
+            # the stripped copy's sums, taken _CAST_ROWS rows of it at a time:
+            # each block is copied in C order, as the copy is, and the running
+            # totals go on top of the block's rows, so that rows are added in
+            # the copy's order
+            cited, citing = np.empty(m.n), None
+            for i in range(0, m.n, _CAST_ROWS):
+                block = m.counts[i : i + _CAST_ROWS].copy()
+                np.fill_diagonal(block[:, i:], 0.0)
+                cited[i : i + len(block)] = block.sum(axis=1)
+                if citing is not None:
+                    block = np.vstack((citing, block))
+                citing = block.sum(axis=0)
     for side, totals in (("cited", cited), ("citing", citing)):
         bad = np.flatnonzero(~np.isfinite(totals))
         if bad.size:

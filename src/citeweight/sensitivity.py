@@ -8,7 +8,6 @@ paired indicator values to quantify how closely two variants agree.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,12 +182,7 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> LinearFit:
         raise NumericalError("all x values are identical; slope undefined")
     slope = sxy / sxx
     intercept = float(ya.mean() - slope * xa.mean())
-    # the product can overflow, or lose digits below the normal range,
-    # where the two roots do not
-    product = sxx * syy
-    if math.isinf(product) or product < sys.float_info.min:
-        root = math.sqrt(sxx) * math.sqrt(syy)
-    else:
-        root = math.sqrt(product)
-    pearson_r = sxy / root if syy > 0.0 else 0.0
+    # two roots, as sxx * syy can overflow, or lose digits below the normal
+    # range, where neither root does
+    pearson_r = sxy / (math.sqrt(sxx) * math.sqrt(syy)) if syy > 0.0 else 0.0
     return LinearFit(slope, intercept, pearson_r, int(xa.size))

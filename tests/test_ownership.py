@@ -229,8 +229,15 @@ def test_non_square_plain_grid_is_refused_after_one_read():
         # the stripped totals were kept by the sensitivity run, so no
         # n-by-n array is made at all
         (self_citation_sensitivity, self_citation_diagnostics, 0.1),
+        # the stripped totals are summed a block of rows at a time, so
+        # even their first sums make no n-by-n array
+        (lambda m: None, self_citation_diagnostics, 0.1),
     ],
-    ids=["sensitivity-after-weights", "diagnostics-after-sensitivity"],
+    ids=[
+        "sensitivity-after-weights",
+        "diagnostics-after-sensitivity",
+        "diagnostics-on-a-fresh-matrix",
+    ],
 )
 def test_without_self_citations_needs_no_stripped_copy(large, before, func, matrices):
     m = CitationMatrix(large.journals, large.counts)
@@ -239,10 +246,9 @@ def test_without_self_citations_needs_no_stripped_copy(large, before, func, matr
 
 
 def test_a_matrix_keeps_no_n_by_n_array(large):
-    # what a matrix keeps after these calls is its margin totals, those of
-    # its stripped copy and one influence trace, a few n-vectors; the
-    # normalized, stripped and transposed matrices the calls made are gone
-    # with their results
+    # what a matrix keeps after these calls is its margin totals with and
+    # without self-citations and one influence trace, a few n-vectors; the
+    # normalized matrices the calls made are gone with their results
     m = CitationMatrix(large.journals, large.counts)
     tracemalloc.start()
     try:

@@ -27,6 +27,7 @@ from citeweight import (
     transpose,
 )
 from citeweight.cli import main
+from citeweight.matrix import _margins
 from citeweight.report import FORMATS
 from citeweight.sensitivity import INDICATORS
 from conftest import matrix_csv
@@ -208,6 +209,44 @@ def test_sensitivity_ignores_power_of_two_rescaling(m, exponent):
 def test_margin_totals_agree(m):
     totals = margins(m)
     assert totals.cited_totals.sum() == totals.citing_totals.sum()
+
+
+@st.composite
+def block_spanning_matrices(draw):
+    """2-40 journals, so the stripped totals span up to three blocks of
+    rows, with cells from a palette of integers, decimals from 1e-300 to
+    1e300, -0.0 and cells near the overflow threshold."""
+    n = draw(st.integers(2, 40))
+    cell = st.one_of(
+        st.integers(0, 50).map(float),
+        st.floats(1e-300, 1e300),
+        st.just(-0.0),
+        st.floats(1e307, 1.7e308),
+    )
+    palette = np.array(draw(st.lists(cell, min_size=1, max_size=6)))
+    # a seed, not n * n draws, picks the cells, so a failure shrinks fast
+    seed = draw(st.integers(0, 2**32 - 1))
+    picks = np.random.default_rng(seed).integers(len(palette), size=(n, n))
+    return make_matrix(palette[picks])
+
+
+@EXAMPLES
+@given(block_spanning_matrices(), st.booleans())
+def test_stripped_margins_are_those_of_the_stripped_copy(m, transposed):
+    # summed a block of rows at a time with no stripped copy, the totals
+    # keep the copy's bits, signed zeros included, and its overflow error
+    if transposed:
+        m = transpose(m)
+
+    def outcome(totals):
+        try:
+            kept = totals()
+        except NumericalError as exc:
+            return str(exc)
+        return kept.cited_totals.tobytes(), kept.citing_totals.tobytes()
+
+    blocked = outcome(lambda: _margins(m, stripped=True))
+    assert blocked == outcome(lambda: margins(strip_self_citations(m)))
 
 
 @EXAMPLES
