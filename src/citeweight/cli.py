@@ -37,7 +37,7 @@ from .metrics import (
     CYCLE_CEILING,
     DEFAULT_MAX_CYCLES,
     DEFAULT_TOLERANCE,
-    influence_trace,
+    _influence_trace,
     pinski_narin_normalize,
     power_weakness_ratio,
     self_citation_diagnostics,
@@ -261,7 +261,7 @@ def _fit_report(m: CitationMatrix, **iteration) -> FitReport:
 
 
 def _iw(m, args):
-    trace = influence_trace(m, **_iteration(args))
+    trace = _influence_trace(m, False, **_iteration(args))
     return trace, {
         "iterations": trace.iterations_used,
         "tolerance": args.tolerance,

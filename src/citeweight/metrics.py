@@ -278,39 +278,6 @@ def power_iterate(
     return IterationTrace(final, product, tuple(deltas), deltas[-1] <= tolerance)
 
 
-def influence_trace(
-    m: CitationMatrix,
-    *,
-    cycles: int | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
-) -> IterationTrace:
-    """Iteration trace of the recursive influence weights.
-
-    Iteration arguments are passed through to :func:`power_iterate`.  To
-    leave out self-citations, pass :func:`strip_self_citations` of the
-    matrix, so the reference totals used as divisors are recomputed from
-    the stripped matrix.
-
-    The trace is computed once per matrix and argument set and kept on the
-    matrix, O(n) memory for each set; the normalized matrix is not kept.
-    A later call with the same arguments returns that very trace, or
-    raises the same error, without iterating again, and two threads that
-    both miss compute the same bytes.  Changing ``counts`` after making
-    them writable again is outside the contract.
-
-    Raises
-    ------
-    CitationDataError
-        For invalid iteration arguments, before the matrix is normalized.
-    NumericalError
-        In tolerance mode (``cycles`` omitted), when the delta is still
-        above ``tolerance`` after ``max_cycles`` cycles.  Fixed-cycle runs
-        return their trace whatever its ``converged`` flag.
-    """
-    return _influence_trace(m, False, cycles, tolerance, max_cycles)
-
-
 def _influence_trace(
     m: CitationMatrix,
     stripped: bool,
@@ -318,10 +285,10 @@ def _influence_trace(
     tolerance: float,
     max_cycles: int,
 ) -> IterationTrace:
-    """``influence_trace(m)``, or with ``stripped`` the trace or error of
-    ``influence_trace(strip_self_citations(m))``, bit for bit, iterated on
-    ``m``'s counts divided by its kept stripped totals, so no stripped copy
-    is made.  Only the with-run's trace is kept on ``m``."""
+    """The kept trace of :func:`influence_weights`, or with ``stripped``
+    the trace or error of ``influence_weights(strip_self_citations(m))``,
+    bit for bit, iterated on ``m``'s counts divided by its kept stripped
+    totals, so no stripped copy is made, and not kept on ``m``."""
     check_iteration_args(cycles, tolerance, max_cycles)
 
     def run() -> IterationTrace:
@@ -330,7 +297,7 @@ def _influence_trace(
             normalized, cycles=cycles, tolerance=tolerance, max_cycles=max_cycles
         )
 
-    key = ("influence_trace", cycles, tolerance, max_cycles)
+    key = ("influence_weights", cycles, tolerance, max_cycles)
     trace = run() if stripped else _kept(m, key, run)
     if cycles is None and not trace.converged:
         raise NumericalError(
@@ -348,10 +315,27 @@ def influence_weights(
     max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> WeightVector:
     """Recursive influence weights: the final stochastic vector of
-    :func:`influence_trace`, which documents the arguments, keeps its trace
-    on the matrix, and raises :class:`NumericalError` on tolerance-mode
-    non-convergence."""
-    return influence_trace(m, cycles=cycles, tolerance=tolerance, max_cycles=max_cycles).final
+    :func:`power_iterate`, given the iteration arguments, on
+    :func:`pinski_narin_normalize` of ``m``.  To leave out self-citations,
+    pass :func:`strip_self_citations` of the matrix, so the divisors are
+    its recomputed reference totals.
+
+    The trace is kept on the matrix once per argument set (O(n) memory;
+    the normalized matrix is not kept).  A repeated call returns that
+    trace's very vector, or raises the same error, without iterating, and
+    two threads that both miss compute the same bytes.  Changing
+    ``counts`` after making them writable again is outside the contract.
+
+    Raises
+    ------
+    CitationDataError
+        For invalid iteration arguments, before the matrix is normalized.
+    NumericalError
+        In tolerance mode (``cycles`` omitted), when the delta is still
+        above ``tolerance`` after ``max_cycles`` cycles.  A fixed-cycle run
+        returns its vector whatever the trace's ``converged`` flag.
+    """
+    return _influence_trace(m, False, cycles, tolerance, max_cycles).final
 
 
 def power_weakness_ratio(m: CitationMatrix, cycles: int) -> PowerWeaknessResult:

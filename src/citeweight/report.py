@@ -101,11 +101,6 @@ class Section:
             )
 
 
-#: Canonical 12-significant-digit rendering, the text of the writers'
-#: ``%.12g`` templates.
-format_number = "{:.12g}".format
-
-
 def _row_cells(sec: Section):
     """The ``%`` conversion of ``sec``'s cells, and its rows as tuples of
     cells, converted one row at a time.  A float64 section's cells take
@@ -122,7 +117,7 @@ def _row_cells(sec: Section):
 def json_cell(value: float) -> float | None:
     """The JSON value of a reported number: NaN becomes null, and any other
     float is re-parsed from its 12-digit rendering."""
-    return None if math.isnan(value) else float(format_number(value))
+    return None if math.isnan(value) else float("%.12g" % value)
 
 
 def _grid(

@@ -36,6 +36,10 @@ class TestJournalSet:
         with pytest.raises(CitationDataError):
             JournalSet(("A", ""))
 
+    def test_empty_set_rejected(self):
+        with pytest.raises(CitationDataError, match="journal set is empty"):
+            JournalSet(())
+
 
 class TestCitationMatrix:
     def test_rejects_non_square(self):

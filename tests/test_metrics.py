@@ -27,8 +27,16 @@ from citeweight import (
     strip_self_citations,
     transpose,
 )
-from citeweight.metrics import CYCLE_CEILING, influence_trace
+from citeweight.metrics import (
+    CYCLE_CEILING,
+    DEFAULT_MAX_CYCLES,
+    DEFAULT_TOLERANCE,
+    _influence_trace,
+)
 from test_properties import EXAMPLES, cited_and_citing
+
+#: The default iteration arguments, as ``_influence_trace`` takes them.
+DEFAULTS = dict(cycles=None, tolerance=DEFAULT_TOLERANCE, max_cycles=DEFAULT_MAX_CYCLES)
 
 
 def exact_stochastic_iteration(counts, cycles):
@@ -287,7 +295,7 @@ class TestInfluenceWeights:
         # the loop stops at a delta equal to the tolerance, so the flag and
         # the tolerance-mode check must count that delta as converged
         delta = power_iterate(pinski_narin_normalize(price), cycles=3).deltas[2]
-        trace = influence_trace(price, tolerance=delta)
+        trace = _influence_trace(price, False, None, delta, DEFAULT_MAX_CYCLES)
         assert trace.iterations_used == 3
         assert trace.converged
 
@@ -321,15 +329,19 @@ class TestKeptResults:
     asked for, so a repeated call returns the object the first one built."""
 
     def test_a_repeated_call_returns_the_kept_object(self, price):
-        assert influence_trace(price) is influence_trace(price)
+        kept = _influence_trace(price, False, **DEFAULTS)
+        assert _influence_trace(price, False, **DEFAULTS) is kept
         assert margins(price) is margins(price)
 
     @pytest.mark.parametrize("order", [("seven", "tolerance"), ("tolerance", "seven")])
     def test_each_argument_set_keeps_its_own_trace(self, price, order):
-        runs = {"seven": dict(cycles=7), "tolerance": dict(tolerance=1e-13, max_cycles=1000)}
-        traces = {name: influence_trace(price, **runs[name]) for name in order}
+        runs = {
+            "seven": dict(DEFAULTS, cycles=7),
+            "tolerance": dict(DEFAULTS, tolerance=1e-13, max_cycles=1000),
+        }
+        traces = {name: _influence_trace(price, False, **runs[name]) for name in order}
         for name in order:
-            assert influence_trace(price, **runs[name]) is traces[name]
+            assert _influence_trace(price, False, **runs[name]) is traces[name]
         seven, converged = traces["seven"], traces["tolerance"]
         assert seven.iterations_used == 7
         assert tuple(round(v, 4) for v in seven.final.values) == gv.IW7_WITH
@@ -352,9 +364,9 @@ class TestKeptResults:
         assert str(second.value) == str(first.value)
 
     def test_a_fresh_matrix_with_the_same_counts_shares_nothing(self, price):
-        trace, totals = influence_trace(price), margins(price)
+        trace, totals = _influence_trace(price, False, **DEFAULTS), margins(price)
         fresh = CitationMatrix(price.journals, price.counts)
-        fresh_trace, fresh_totals = influence_trace(fresh), margins(fresh)
+        fresh_trace, fresh_totals = _influence_trace(fresh, False, **DEFAULTS), margins(fresh)
         assert fresh_trace is not trace and fresh_totals is not totals
         pairs = [
             (trace.final.values, fresh_trace.final.values),
@@ -378,9 +390,9 @@ class TestKeptResults:
     def test_invalid_arguments_raise_even_after_a_hit(self, price, valid, invalid):
         # True hashes and compares equal to 1, so a lookup before the
         # argument check would return the kept trace of the valid call
-        influence_trace(price, **valid)
+        influence_weights(price, **valid)
         with pytest.raises(CitationDataError):
-            influence_trace(price, **invalid)
+            influence_weights(price, **invalid)
 
     def test_threads_that_miss_together_return_the_one_kept_object(self):
         # a lost update, each thread keeping its own trace, would give
@@ -390,7 +402,7 @@ class TestKeptResults:
         results = []
 
         def worker():
-            results.append((influence_trace(m), margins(m)))
+            results.append((_influence_trace(m, False, **DEFAULTS), margins(m)))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         interval = sys.getswitchinterval()
@@ -404,7 +416,8 @@ class TestKeptResults:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert len(results) == len(threads)
-        assert all(r[0] is influence_trace(m) and r[1] is margins(m) for r in results)
+        kept = _influence_trace(m, False, **DEFAULTS)
+        assert all(r[0] is kept and r[1] is margins(m) for r in results)
 
 
 def _outcome(func, m):

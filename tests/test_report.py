@@ -11,17 +11,17 @@ from citeweight import (
     NumericalError,
     build_sections,
     pinski_narin_normalize,
+    power_iterate,
     render_sections,
     self_citation_diagnostics,
     self_citation_sensitivity,
 )
-from citeweight.metrics import influence_trace
-from citeweight.report import Section, format_number
+from citeweight.report import Section, json_cell
 
 
 @pytest.fixture
 def weights(price):
-    return build_sections(influence_trace(price, cycles=7))
+    return build_sections(power_iterate(pinski_narin_normalize(price), cycles=7))
 
 
 def test_table_layout(weights):
@@ -42,9 +42,9 @@ def test_csv_and_json_carry_identical_numbers(weights):
 
 
 def test_twelve_significant_digits():
-    assert format_number(1 / 3) == "0.333333333333"
-    assert format_number(9384.0) == "9384"
-    assert format_number(0.425848611363112) == "0.425848611363"
+    assert json_cell(1 / 3) == 0.333333333333
+    assert json_cell(9384.0) == 9384.0
+    assert json_cell(0.425848611363112) == 0.425848611363
 
 
 def test_json_without_meta(weights):
@@ -75,7 +75,7 @@ def test_label_with_comma_is_quoted_in_csv():
 
 def test_multi_section_csv_marks_blocks(price):
     report = self_citation_sensitivity(price, "iw", cycles=7)
-    trace = influence_trace(price, cycles=7)
+    trace = power_iterate(pinski_narin_normalize(price), cycles=7)
     sections = (*build_sections(trace), *build_sections(report))
     out = render_sections(sections, "csv")
     assert "# iw" in out

@@ -117,7 +117,7 @@ class TestSensitivity:
         with pytest.raises(CitationDataError, match="finite and positive"):
             self_citation_sensitivity(price, indicator, tolerance=math.inf)
 
-class TestConvergenceProfile:
+class TestDecayRatios:
     def test_deltas_shrink_geometrically(self, price):
         trace = power_iterate(pinski_narin_normalize(price), cycles=10)
         # strict decrease from cycle 3 on
