@@ -34,7 +34,7 @@ from .sensitivity import (
     linear_fit,
     self_citation_sensitivity,
 )
-from .report import FitReport, Section, build_sections, render_sections
+from .report import Section, build_sections, render_sections
 
 __all__ = [
     "CitationDataError",
@@ -64,7 +64,6 @@ __all__ = [
     "SensitivityReport",
     "linear_fit",
     "self_citation_sensitivity",
-    "FitReport",
     "Section",
     "build_sections",
     "render_sections",

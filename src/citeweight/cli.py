@@ -3,9 +3,9 @@
 Every subcommand that reads a matrix runs one pipeline, ``_run``: load a
 named fixture, or hand the bytes of a CSV path or stdin ("-") unchanged to
 ``parse_matrix_csv``, the one decoder; compute the subcommand's row of
-``_COMMANDS``; write the JSON ``meta`` block as the shared keys (indicator,
-source, transposed, version), the row's own keys and, where the subcommand
-has that flag, ``self_citations``; build the report sections.
+``_COMMANDS``, which builds the report sections; write the JSON ``meta``
+block as the shared keys (indicator, source, transposed, version), the
+row's own keys and, where the subcommand has that flag, ``self_citations``.
 ``reproduce-paper`` reruns the bundled eight-journal worked example with a
 fixed meta block.  Reports go to stdout or --output as UTF-8 table, csv or
 json, whatever the locale.
@@ -44,8 +44,8 @@ from .metrics import (
 )
 from .report import (
     FORMATS,
-    FitReport,
-    MatrixPower,
+    _fit_layout,
+    _power_layout,
     build_sections,
     json_cell,
     report_pieces,
@@ -254,15 +254,15 @@ def _iteration(args) -> dict:
     return {"cycles": args.cycles, "tolerance": args.tolerance, "max_cycles": args.max_cycles}
 
 
-def _fit_report(m: CitationMatrix, **iteration) -> FitReport:
-    """Influence weights with and without self-citations, and their fit."""
+def _fit_report(m: CitationMatrix, **iteration):
+    """(sensitivity report, fit) of influence weights with and without self-citations."""
     report = self_citation_sensitivity(m, INDICATOR_IW, **iteration)
-    return FitReport(report, linear_fit(report.with_values, report.without_values))
+    return report, linear_fit(report.with_values, report.without_values)
 
 
 def _iw(m, args):
     trace = _influence_trace(m, False, **_iteration(args))
-    return trace, {
+    return build_sections(trace), {
         "iterations": trace.iterations_used,
         "tolerance": args.tolerance,
         "converged": trace.converged,
@@ -271,16 +271,16 @@ def _iw(m, args):
 
 def _pwr(m, args):
     result = power_weakness_ratio(m, args.cycles)
-    return result, {"iterations": result.cycles}
+    return build_sections(result), {"iterations": result.cycles}
 
 
 def _power(m, args):
-    return MatrixPower(m.journals, matrix_power(m, args.k), args.k), {"k": args.k}
+    return _power_layout(m.journals, matrix_power(m, args.k), args.k), {"k": args.k}
 
 
 def _sensitivity(m, args):
     report = self_citation_sensitivity(m, args.indicator, **_iteration(args))
-    return report, {
+    return build_sections(report), {
         "compared": args.indicator,
         "iterations": args.cycles,
         "tolerance": args.tolerance,
@@ -290,25 +290,25 @@ def _sensitivity(m, args):
 
 
 def _fit(m, args):
-    report = _fit_report(m, **_iteration(args))
-    return report, {
+    report, fit = _fit_report(m, **_iteration(args))
+    return _fit_layout(report, fit), {
         "iterations": args.cycles,
         "tolerance": args.tolerance,
-        "slope": json_cell(report.fit.slope),
-        "intercept": json_cell(report.fit.intercept),
-        "pearson_r": json_cell(report.fit.pearson_r),
+        "slope": json_cell(fit.slope),
+        "intercept": json_cell(fit.intercept),
+        "pearson_r": json_cell(fit.pearson_r),
     }
 
 
-# subcommand: (meta indicator, (matrix, args) -> (result, its own meta keys)).
+# subcommand: (meta indicator, (matrix, args) -> (sections, its own meta keys)).
 # A function body looks its names up at call time, so wrappers put on this
 # module's attributes (bench/tracer.py) see each call.
 _COMMANDS = {
     "iw": ("iw", _iw),
     "pwr": ("pwr", _pwr),
-    "normalize": ("normalize", lambda m, args: (pinski_narin_normalize(m), {})),
+    "normalize": ("normalize", lambda m, args: (build_sections(pinski_narin_normalize(m)), {})),
     "power": ("power", _power),
-    "diagnose": ("diagnostics", lambda m, args: (self_citation_diagnostics(m), {})),
+    "diagnose": ("diagnostics", lambda m, args: (build_sections(self_citation_diagnostics(m)), {})),
     "sensitivity": ("sensitivity", _sensitivity),
     "fit": ("fit", _fit),
 }
@@ -318,11 +318,11 @@ def _run(args):
     """The sections and meta block of one subcommand."""
     if args.command == "reproduce-paper":
         m = price_matrix()
-        fit_report = _fit_report(m, cycles=7)
+        report, fit = _fit_report(m, cycles=7)
         sections = (
             *build_sections(pinski_narin_normalize(m)),
-            *build_sections(fit_report.sensitivity),
-            *build_sections(fit_report),
+            *build_sections(report),
+            *_fit_layout(report, fit),
         )
         return sections, {
             "indicator": "reproduce",
@@ -332,7 +332,7 @@ def _run(args):
         }
     indicator, compute = _COMMANDS[args.command]
     m, source = _load_input(args)
-    result, extra = compute(m, args)
+    sections, extra = compute(m, args)
     meta = {
         "indicator": indicator,
         "source": source,
@@ -342,7 +342,7 @@ def _run(args):
     }
     if hasattr(args, "self_citations"):
         meta["self_citations"] = args.self_citations
-    return build_sections(result), meta
+    return sections, meta
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,12 +1,14 @@
 """Rendering of analysis results as aligned text tables, CSV, or JSON.
 
 Every result is first turned into one or more sections (row labels, a
-header and one 2-D array) by the one layout of its type, then the chosen
-writer yields the report text piece by piece (title, header, row, footer),
-and the CLI writes each piece as it comes.  Each writer builds one ``%``
-template per section, from its column count (and, for a table, its column
-widths), and formats a whole row with it.  A table pads labels and column
-names by display width, so a wide character takes two columns.
+header and one 2-D array) by the one layout of its type, or, for a matrix
+power and a fit, which no result type holds, by a layout given their
+parts.  Then the chosen writer yields the report text piece by piece
+(title, header, row, footer), and the CLI writes each piece as it comes.
+Each writer builds one ``%`` template per section, from its column count
+(and, for a table, its column widths), and formats a whole row with it.
+A table pads labels and column names by display width, so a wide
+character takes two columns.
 Floats are written with 12 significant digits in every format; a JSON
 number is the shortest repr of the 12-digit value, and an int cell keeps
 all its digits, so the three formats carry identical values.  The JSON
@@ -40,24 +42,6 @@ from .metrics import (
 from .sensitivity import LinearFit, SensitivityReport
 
 FORMATS = ("table", "csv", "json")
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixPower:
-    """The k-th power of a citation matrix, with its journal labels."""
-
-    journals: JournalSet
-    values: np.ndarray
-    k: int
-
-
-@dataclass(frozen=True, eq=False)
-class FitReport:
-    """Influence weights with and without self-citations, and the line
-    fitted through the without values against the with values."""
-
-    sensitivity: SensitivityReport
-    fit: LinearFit
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,10 +129,10 @@ def _normalized_layout(result: NormalizedMatrix) -> tuple[Section, ...]:
     return (_grid("normalized", title, journals.labels, journals, result.values),)
 
 
-def _power_layout(result: MatrixPower) -> tuple[Section, ...]:
-    title = f"Citation matrix power {result.k}"
-    journals = result.journals
-    return (_grid("power", title, journals.labels, journals, result.values),)
+def _power_layout(journals: JournalSet, values: np.ndarray, k: int) -> tuple[Section, ...]:
+    """The report of ``values``, the k-th power of a matrix of ``journals``."""
+    title = f"Citation matrix power {k}"
+    return (_grid("power", title, journals.labels, journals, values),)
 
 
 def _pwr_layout(result: PowerWeaknessResult) -> tuple[Section, ...]:
@@ -181,8 +165,9 @@ def _sensitivity_layout(result: SensitivityReport) -> tuple[Section, ...]:
     return (_grid("sensitivity", title, columns, result.journals, values, footer),)
 
 
-def _fit_layout(result: FitReport) -> tuple[Section, ...]:
-    pairs, fit = result.sensitivity, result.fit
+def _fit_layout(pairs: SensitivityReport, fit: LinearFit) -> tuple[Section, ...]:
+    """The report of the with/without ``pairs`` and the line ``fit``
+    through the without values against the with values."""
     title = "Fitted pairs (without against with)"
     values = np.column_stack((pairs.with_values, pairs.without_values))
     names = ("slope", "intercept", "pearson_r", "n_points")
@@ -196,15 +181,13 @@ def _fit_layout(result: FitReport) -> tuple[Section, ...]:
     )
 
 
-#: The one report layout of each result type the CLI renders.
+#: The one report layout of each result type a library function returns.
 _LAYOUTS = {
     IterationTrace: _iw_layout,
     NormalizedMatrix: _normalized_layout,
-    MatrixPower: _power_layout,
     PowerWeaknessResult: _pwr_layout,
     SelfCitationDiagnostics: _diagnostics_layout,
     SensitivityReport: _sensitivity_layout,
-    FitReport: _fit_layout,
 }
 
 

@@ -41,7 +41,6 @@ PUBLIC_NAMES = {
     "SensitivityReport",
     "linear_fit",
     "self_citation_sensitivity",
-    "FitReport",
     "Section",
     "build_sections",
     "render_sections",
@@ -50,7 +49,7 @@ PUBLIC_NAMES = {
 
 
 def test_exported_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 32
+    assert len(PUBLIC_NAMES) == 31
     assert set(citeweight.__all__) == PUBLIC_NAMES
 
 

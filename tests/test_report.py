@@ -10,6 +10,8 @@ from citeweight import (
     JournalSet,
     NumericalError,
     build_sections,
+    linear_fit,
+    matrix_power,
     pinski_narin_normalize,
     power_iterate,
     render_sections,
@@ -62,9 +64,19 @@ def test_unknown_format_rejected(weights):
         render_sections(weights, "yaml")
 
 
-def test_unknown_result_type_rejected():
-    with pytest.raises(CitationDataError, match="layout"):
-        build_sections(object())
+#: Values that no report layout takes, by type name: the CLI renders a matrix
+#: power and a fit from their parts, not by their type.
+UNRENDERED = {
+    "object": lambda m: object(),
+    "ndarray": lambda m: matrix_power(m, 2),
+    "LinearFit": lambda m: linear_fit([1.0, 2.0, 3.0], [2.0, 4.0, 7.0]),
+}
+
+
+@pytest.mark.parametrize("name", UNRENDERED)
+def test_unknown_result_type_rejected(price, name):
+    with pytest.raises(CitationDataError, match=f"^no report layout for {name}$"):
+        build_sections(UNRENDERED[name](price))
 
 
 def test_label_with_comma_is_quoted_in_csv():

@@ -2,9 +2,9 @@
 
 Each file under ``tests/reports`` is the stdout of one subcommand run on
 ``--fixture price`` in one format.  These reports do not depend on the BLAS
-kernel: each has one text under every OpenBLAS core type tried.  README's
-Tests section gives the shell loop that rewrites them when an output change
-is intended.
+kernel: each has one text under every OpenBLAS core type tried.
+``tests/reports/regenerate.sh`` rewrites them when an output change is
+intended.
 """
 
 import difflib
