@@ -130,7 +130,6 @@ def _normalized_layout(result: NormalizedMatrix) -> tuple[Section, ...]:
 
 
 def _power_layout(journals: JournalSet, values: np.ndarray, k: int) -> tuple[Section, ...]:
-    """The report of ``values``, the k-th power of a matrix of ``journals``."""
     title = f"Citation matrix power {k}"
     return (_grid("power", title, journals.labels, journals, values),)
 
