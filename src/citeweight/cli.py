@@ -23,7 +23,7 @@ import sys
 
 from . import __version__
 from .errors import CitationDataError, NumericalError
-from .fixtures import FIXTURES, price_matrix
+from .fixtures import price_matrix
 from .matrix import (
     DEFAULT_MAX_SIZE,
     CitationMatrix,
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         "matrix", nargs="?", help=f"path of a CSV citation matrix, or - for stdin {rule}"
     )
     source.add_argument(
-        "--fixture", choices=sorted(FIXTURES), help=f"bundled dataset {rule}"
+        "--fixture", choices=("price",), help=f"bundled dataset {rule}"
     )
     inputs.add_argument(
         "--labeled",
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_input(args) -> tuple[CitationMatrix, str]:
     # the parser lets exactly one of the two through
     if args.fixture is not None:
-        m = FIXTURES[args.fixture]()
+        m = price_matrix()
         _check_max_size(args.max_size, m.n)
         source = f"fixture:{args.fixture}"
     else:

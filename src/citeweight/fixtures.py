@@ -38,6 +38,3 @@ PRICE_COUNTS = (
 def price_matrix() -> CitationMatrix:
     """The eight-journal biochemistry citation matrix."""
     return CitationMatrix(JournalSet(PRICE_LABELS), PRICE_COUNTS)
-
-
-FIXTURES = {"price": price_matrix}

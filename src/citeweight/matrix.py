@@ -123,10 +123,11 @@ def _first_cell(mask: np.ndarray) -> str:
 def _adopt(cls, journals: JournalSet, values: np.ndarray):
     """A ``cls`` matrix or vector wrapping ``values``, a float array no
     caller holds (a new array, or a view of read-only package counts), made
-    read-only but neither copied nor scanned: its cells were checked, or
-    derived from checked cells in a way that cannot make one negative or
-    non-finite (a zeroed diagonal, a transpose, a guarded division, a
-    product renormalized by its finite positive mass)."""
+    read-only but neither copied nor scanned: its cells were checked, read
+    from unsigned integer text, which cannot hold a negative or non-finite
+    count, or derived from checked cells in a way that cannot make one
+    negative or non-finite (a zeroed diagonal, a transpose, a guarded
+    division, a product renormalized by its finite positive mass)."""
     values.setflags(write=False)
     m = object.__new__(cls)
     for field, value in zip(fields(cls), (journals, values)):
@@ -196,7 +197,7 @@ def parse_matrix_csv(
         For text the csv module cannot read, ragged or non-square grids,
         non-numeric or negative cells, duplicate or mismatched labels, sizes
         outside [2, max_size], and a ``max_size`` that is not an integer of
-        at least 2.
+        at least 2, or ``data`` that is neither str nor bytes.
 
     Notes
     -----
@@ -208,6 +209,8 @@ def parse_matrix_csv(
     through the csv reader, which words the errors; a grid the C reader
     reads is refused for its shape alone, with the csv reader's message.
     """
+    if not isinstance(data, (str, bytes)):
+        raise CitationDataError(f"data must be str or bytes, got {type(data).__name__}")
     _check_max_size(max_size)
     if isinstance(data, bytes):
         try:
@@ -218,8 +221,7 @@ def parse_matrix_csv(
     text = data
     values = None if labeled else _plain_grid(text, max_size)
     if values is not None:
-        journals = _numbered_journals(len(values))
-        return _adopt(CitationMatrix, journals, _checked(journals, values, 2))
+        return _adopt(CitationMatrix, _numbered_journals(len(values)), values)
     rows = []
     # The reader gets one line at a time, with its ending, so no second copy
     # of the text is held; a leading byte-order mark is skipped.
@@ -265,13 +267,15 @@ def parse_matrix_csv(
 
     # Only the conversion sits in the try: CitationDataError is a
     # ValueError, and the finite and sign checks must not be caught here.
+    texts = itertools.chain.from_iterable(cells)
     try:
-        values = np.fromiter(
-            map(float, itertools.chain.from_iterable(cells)), dtype=float, count=n * n
-        ).reshape(n, n)
-    except ValueError:
-        _raise_first_non_numeric(cells)
-        raise
+        values = np.fromiter(map(float, texts), dtype=float, count=n * n).reshape(n, n)
+    except ValueError as exc:
+        # the cells float() has not reached are the ones after the refused one
+        i, j = divmod(n * n - 1 - sum(1 for _ in texts), n)
+        raise CitationDataError(
+            f"non-numeric cell at row {i + 1}, column {j + 1}: {cells[i][j]!r}"
+        ) from exc
     return _adopt(CitationMatrix, label_set, _checked(label_set, values, 2))
 
 
@@ -290,7 +294,8 @@ def _plain_grid(text: str, max_size: int) -> np.ndarray | None:
     """The counts of headerless unsigned integer ``text`` read by numpy's
     C reader, or None for any other text, and for text the reader refuses,
     such as a field past int64: the csv reader path reads those.  The
-    reader's counts equal those ``float()`` gives.  A grid it reads but
+    reader's counts equal those ``float()`` gives, and are finite and
+    non-negative, as the text has no sign.  A grid it reads but
     that is not square, or below 2x2, raises the csv path's error without
     being read again: the lines it takes split into the csv path's rows,
     so both see one shape."""
@@ -333,18 +338,6 @@ def _plain_grid(text: str, max_size: int) -> np.ndarray | None:
         counts[i : i + _CAST_ROWS] = values[i : i + _CAST_ROWS]
     _check_square(*counts.shape)
     return counts
-
-
-def _raise_first_non_numeric(cells: list[list[str]]) -> None:
-    """Name the first cell, in row-major order, that ``float`` rejects."""
-    for i, row in enumerate(cells):
-        for j, field in enumerate(row):
-            try:
-                float(field)
-            except ValueError as exc:
-                raise CitationDataError(
-                    f"non-numeric cell at row {i + 1}, column {j + 1}: {field!r}"
-                ) from exc
 
 
 def _kept(m: CitationMatrix, key: tuple, build):

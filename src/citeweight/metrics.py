@@ -10,6 +10,7 @@ matrix and its transpose, and per-journal self-citation diagnostics.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,11 +195,13 @@ def _iterable_values(matrix: CitationMatrix | NormalizedMatrix) -> tuple[Journal
 def check_iteration_args(cycles: int | None, tolerance: float, max_cycles: int) -> None:
     """Raise :class:`CitationDataError` unless the iteration arguments of
     :func:`power_iterate` are valid: ``cycles`` None or a cycle count, a
-    finite positive ``tolerance``, and ``max_cycles`` a cycle count.  A
-    cycle count is an integer from 1 to :data:`CYCLE_CEILING`."""
+    finite positive real ``tolerance`` (a bool is not), and ``max_cycles`` a
+    cycle count.  A cycle count is an integer from 1 to
+    :data:`CYCLE_CEILING`."""
     if cycles is not None:
         _check_cycle_count("cycle count", cycles)
-    if not (tolerance > 0 and math.isfinite(tolerance)):
+    real = isinstance(tolerance, numbers.Real) and not isinstance(tolerance, bool)
+    if not (real and tolerance > 0 and math.isfinite(tolerance)):
         raise CitationDataError(f"tolerance must be finite and positive, got {tolerance!r}")
     _check_cycle_count("max_cycles", max_cycles)
 

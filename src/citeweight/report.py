@@ -54,7 +54,7 @@ class Section:
     A section is well formed: ``values`` has one row per label and one
     column per name in ``header[1:]``, labels and column names are unique,
     and no cell is infinite (NaN marks an undefined value, but an infinite
-    one is an overflow).
+    one is an overflow).  The key, labels and header are strings.
     """
 
     key: str
@@ -72,6 +72,13 @@ class Section:
                 f"section {self.key!r} has values of shape {self.values.shape} "
                 f"for {shape[0]} labels and {shape[1]} columns"
             )
+        named = (("key", (self.key,)), ("label", self.labels), ("column name", self.header))
+        for kind, names in named:
+            for name in names:
+                if not isinstance(name, str):
+                    raise CitationDataError(
+                        f"section {self.key!r} has a {kind} that is not a string: {name!r}"
+                    )
         for kind, names in (("label", self.labels), ("column name", columns)):
             if len(set(names)) != len(names):
                 raise CitationDataError(f"section {self.key!r} repeats a {kind}")

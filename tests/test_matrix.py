@@ -181,6 +181,15 @@ class TestParse:
         with pytest.raises(CitationDataError, match=expected):
             parse_matrix_csv(text, max_size=max_size)
 
+    @pytest.mark.parametrize(
+        "data", [bytearray(b"1,2\n3,4\n"), memoryview(b"1,2\n3,4\n"), ["1,2", "3,4"]],
+        ids=["bytearray", "memoryview", "list"],
+    )
+    def test_data_that_is_not_text_or_bytes_is_rejected_up_front(self, data):
+        expected = f"^data must be str or bytes, got {type(data).__name__}$"
+        with pytest.raises(CitationDataError, match=expected):
+            parse_matrix_csv(data)
+
     def test_first_bad_cell_in_row_major_order_is_named(self):
         with pytest.raises(CitationDataError, match=r"row 1, column 2: 'x'"):
             parse_matrix_csv("1,x\ny,4\n")
@@ -188,6 +197,15 @@ class TestParse:
     def test_labeled_bad_cell_is_counted_from_the_first_count(self):
         with pytest.raises(CitationDataError, match=r"row 2, column 1: ''"):
             parse_matrix_csv("journal,A,B\nA,1,2\nB,,4\n", labeled=True)
+
+    @pytest.mark.parametrize(
+        "text, labeled",
+        [("1,1\n1,x\n", False), ("journal,A,B\nA,1,1\nB,1,x\n", True)],
+        ids=["headerless", "labeled"],
+    )
+    def test_last_bad_cell_is_named(self, text, labeled):
+        with pytest.raises(CitationDataError, match=r"row 2, column 2: 'x'$"):
+            parse_matrix_csv(text, labeled=labeled)
 
     def test_non_finite_and_negative_cells_keep_their_own_messages(self):
         with pytest.raises(CitationDataError, match=r"cell \(0, 1\) is not finite"):

@@ -220,7 +220,9 @@ class TestPowerIterate:
             power_iterate(small, cycles=2.5)
         with pytest.raises(CitationDataError):
             power_iterate(small, tolerance=0.0)
-        for bad in (float("inf"), float("nan")):
+        # a tolerance that is not a real number, or is a bool, is refused
+        # with the same message
+        for bad in (float("inf"), float("nan"), "1e-9", None, True, 1j):
             with pytest.raises(CitationDataError, match="finite and positive"):
                 power_iterate(small, tolerance=bad)
         with pytest.raises(CitationDataError):
@@ -240,6 +242,8 @@ class TestPowerIterate:
         assert power_iterate(small, cycles=np.int64(2)).iterations_used == 2
         assert power_iterate(small, cycles=150, max_cycles=5).iterations_used == 150
         assert power_iterate(small, max_cycles=np.int32(100)).converged
+        for good in (1, np.float32(1e-9)):
+            assert power_iterate(small, tolerance=good).converged
 
     @pytest.mark.parametrize("argument", ["cycles", "max_cycles"])
     def test_count_above_the_ceiling_is_refused_before_any_cycle(self, argument):

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -129,6 +130,22 @@ def test_section_refuses_values_of_another_shape():
 def test_section_refuses_a_repeated_label():
     with pytest.raises(CitationDataError, match="section 's' repeats a label"):
         Section("s", "S", ("journal", "a"), ("A", "B", "A"), np.ones((3, 1)))
+
+
+@pytest.mark.parametrize(
+    "key, header, labels, message",
+    [
+        (1, ("journal", "a"), ("A",), "section 1 has a key that is not a string: 1"),
+        ("s", ("journal", "a"), (1,), "section 's' has a label that is not a string: 1"),
+        ("s", ("journal", "a"), (None,), "section 's' has a label that is not a string: None"),
+        ("s", ("journal", 2), ("A",), "section 's' has a column name that is not a string: 2"),
+        ("s", (None, "a"), ("A",), "section 's' has a column name that is not a string: None"),
+    ],
+    ids=["key", "int-label", "none-label", "int-column", "none-corner"],
+)
+def test_section_refuses_a_name_that_is_not_a_string(key, header, labels, message):
+    with pytest.raises(CitationDataError, match=re.escape(message)):
+        Section(key, "S", header, labels, np.ones((1, 1)))
 
 
 def test_section_refuses_a_repeated_column():

@@ -4,7 +4,7 @@ Each file under ``tests/reports`` is the stdout of one subcommand run on
 ``--fixture price`` in one format.  These reports do not depend on the BLAS
 kernel: each has one text under every OpenBLAS core type tried.
 ``tests/reports/regenerate.sh`` rewrites them when an output change is
-intended.
+intended, from the same list of commands, ``tests/reports/commands``.
 """
 
 import difflib
@@ -17,14 +17,11 @@ from citeweight.report import FORMATS
 
 REPORTS = Path(__file__).parent / "reports"
 
-#: File stem and subcommand arguments of each committed report.
+#: File stem and subcommand arguments of each committed report, one
+#: ``name args...`` line each.
 COMMANDS = {
-    "iw": ("iw",),
-    "iw-iterations-7": ("iw", "--iterations", "7"),
-    "pwr": ("pwr",),
-    "normalize": ("normalize",),
-    "power-k3": ("power", "-k", "3"),
-    "diagnose": ("diagnose",),
+    name: args
+    for name, *args in map(str.split, (REPORTS / "commands").read_text("utf-8").splitlines())
 }
 
 
