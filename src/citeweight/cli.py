@@ -1,14 +1,16 @@
 """Command-line interface.
 
-Every subcommand that reads a matrix runs one pipeline, ``_run``: load a
-named fixture, or hand the bytes of a CSV path or stdin ("-") unchanged to
-``parse_matrix_csv``, the one decoder; compute the subcommand's row of
-``_COMMANDS``, which builds the report sections; write the JSON ``meta``
-block as the shared keys (indicator, source, transposed, version), the
-row's own keys and, where the subcommand has that flag, ``self_citations``.
-``reproduce-paper`` reruns the bundled eight-journal worked example with a
-fixed meta block.  Reports go to stdout or --output as UTF-8 table, csv or
-json, whatever the locale.
+Each subcommand is one row of ``_COMMANDS`` (help line, option groups,
+meta indicator, computation), from which ``build_parser`` makes its parser
+and ``_run`` its report.  Every subcommand that reads a matrix runs one
+pipeline: load a named fixture, or hand the bytes of a CSV path or stdin
+("-") unchanged to ``parse_matrix_csv``, the one decoder; compute the
+subcommand's row, which builds the report sections; write the JSON
+``meta`` block as the shared keys (indicator, source, transposed,
+version), the row's own keys and, where the subcommand has that flag,
+``self_citations``.  ``reproduce-paper`` reruns the bundled eight-journal
+worked example with a fixed meta block.  Reports go to stdout or --output
+as UTF-8 table, csv or json, whatever the locale.
 
 Exit codes: 0 success, 1 usage error (the parser refused the command line),
 2 malformed or unreadable data, 3 numerical failure (non-convergence,
@@ -157,17 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep or zero the diagonal before computing (default: keep)",
     )
 
-    sub.add_parser(
-        "iw",
-        parents=[inputs, iteration, selfcite, output],
-        help="recursive influence weights",
-    )
-    pwr = sub.add_parser(
-        "pwr",
-        parents=[inputs, selfcite, output],
-        help="power-weakness ratios from the raw matrix and its transpose",
-    )
-    pwr.add_argument(
+    groups = {"inputs": inputs, "iteration": iteration, "selfcite": selfcite, "output": output}
+    parsers = {
+        name: sub.add_parser(name, parents=[groups[g] for g in names.split()], help=line)
+        for name, (line, names, _, _) in _COMMANDS.items()
+    }
+    parsers["pwr"].add_argument(
         "--iterations",
         type=int,
         default=7,
@@ -175,44 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
         dest="cycles",
         help=f"cycles for both component iterations (default 7, at most {CYCLE_CEILING})",
     )
-    sub.add_parser(
-        "normalize",
-        parents=[inputs, selfcite, output],
-        help="citations received per reference given",
-    )
-    power = sub.add_parser(
-        "power",
-        parents=[inputs, selfcite, output],
-        help="k-step citation paths via repeated squaring",
-    )
-    power.add_argument(
+    parsers["power"].add_argument(
         "-k", type=int, required=True, help="exponent, at least 1 and below 2**64"
     )
-    sub.add_parser(
-        "diagnose",
-        parents=[inputs, output],
-        help="per-journal self-citation diagnostics",
-    )
-    sensitivity = sub.add_parser(
-        "sensitivity",
-        parents=[inputs, iteration, output],
-        help="indicator shift when self-citations are removed",
-    )
-    sensitivity.add_argument(
+    parsers["sensitivity"].add_argument(
         "--indicator",
         choices=INDICATORS,
         default=INDICATOR_IW,
         help="which indicator to compare (default iw)",
-    )
-    sub.add_parser(
-        "fit",
-        parents=[inputs, iteration, output],
-        help="least-squares line through without-vs-with influence weights",
-    )
-    sub.add_parser(
-        "reproduce-paper",
-        parents=[output],
-        help="rerun the bundled eight-journal worked example end to end",
     )
     return parser
 
@@ -300,37 +267,51 @@ def _fit(m, args):
     }
 
 
-# subcommand: (meta indicator, (matrix, args) -> (sections, its own meta keys)).
-# A function body looks its names up at call time, so wrappers put on this
-# module's attributes (bench/tracer.py) see each call.
+def _reproduce(m, args):
+    report, fit = _fit_report(m, cycles=7)
+    sections = (
+        *build_sections(pinski_narin_normalize(m)),
+        *build_sections(report),
+        *_fit_layout(report, fit),
+    )
+    return sections, {"iterations": 7}
+
+
+# Each subcommand, in --help order: (help line, option groups, meta
+# indicator, (matrix, args) -> (sections, its own meta keys)).  A function
+# body looks its names up at call time, so wrappers put on this module's
+# attributes (bench/tracer.py) see each call.
 _COMMANDS = {
-    "iw": ("iw", _iw),
-    "pwr": ("pwr", _pwr),
-    "normalize": ("normalize", lambda m, args: (build_sections(pinski_narin_normalize(m)), {})),
-    "power": ("power", _power),
-    "diagnose": ("diagnostics", lambda m, args: (build_sections(self_citation_diagnostics(m)), {})),
-    "sensitivity": ("sensitivity", _sensitivity),
-    "fit": ("fit", _fit),
+    "iw": ("recursive influence weights",
+           "inputs iteration selfcite output", "iw", _iw),
+    "pwr": ("power-weakness ratios from the raw matrix and its transpose",
+            "inputs selfcite output", "pwr", _pwr),
+    "normalize": ("citations received per reference given", "inputs selfcite output", "normalize",
+                  lambda m, args: (build_sections(pinski_narin_normalize(m)), {})),
+    "power": ("k-step citation paths via repeated squaring",
+              "inputs selfcite output", "power", _power),
+    "diagnose": ("per-journal self-citation diagnostics", "inputs output", "diagnostics",
+                 lambda m, args: (build_sections(self_citation_diagnostics(m)), {})),
+    "sensitivity": ("indicator shift when self-citations are removed",
+                    "inputs iteration output", "sensitivity", _sensitivity),
+    "fit": ("least-squares line through without-vs-with influence weights",
+            "inputs iteration output", "fit", _fit),
+    "reproduce-paper": ("rerun the bundled eight-journal worked example end to end",
+                        "output", "reproduce", _reproduce),
 }
 
 
 def _run(args):
     """The sections and meta block of one subcommand."""
+    _, _, indicator, compute = _COMMANDS[args.command]
     if args.command == "reproduce-paper":
-        m = price_matrix()
-        report, fit = _fit_report(m, cycles=7)
-        sections = (
-            *build_sections(pinski_narin_normalize(m)),
-            *build_sections(report),
-            *_fit_layout(report, fit),
-        )
+        sections, extra = compute(price_matrix(), args)
         return sections, {
-            "indicator": "reproduce",
+            "indicator": indicator,
             "source": "fixture:price",
-            "iterations": 7,
+            **extra,
             "version": __version__,
         }
-    indicator, compute = _COMMANDS[args.command]
     m, source = _load_input(args)
     sections, extra = compute(m, args)
     meta = {
