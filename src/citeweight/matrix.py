@@ -197,7 +197,10 @@ def parse_matrix_csv(
         For text the csv module cannot read, ragged or non-square grids,
         non-numeric or negative cells, duplicate or mismatched labels, sizes
         outside [2, max_size], and a ``max_size`` that is not an integer of
-        at least 2, or ``data`` that is neither str nor bytes.
+        at least 2, a ``labeled`` that is neither a bool nor a numpy bool,
+        or ``data`` that is neither str nor bytes.  A ragged row is named by
+        the line of the input it ends on, counting blank lines and each line
+        of a quoted multi-line field, as a malformed-CSV error does.
 
     Notes
     -----
@@ -212,6 +215,8 @@ def parse_matrix_csv(
     if not isinstance(data, (str, bytes)):
         raise CitationDataError(f"data must be str or bytes, got {type(data).__name__}")
     _check_max_size(max_size)
+    if not isinstance(labeled, (bool, np.bool_)):
+        raise CitationDataError(f"labeled must be a bool, got {labeled!r}")
     if isinstance(data, bytes):
         try:
             # rebound, so the bytes are freed unless the caller holds them too
@@ -222,7 +227,8 @@ def parse_matrix_csv(
     values = None if labeled else _plain_grid(text, max_size)
     if values is not None:
         return _adopt(CitationMatrix, _numbered_journals(len(values)), values)
-    rows = []
+    # each row, and the line of the input it ends on
+    rows, line_nums = [], []
     # The reader gets one line at a time, with its ending, so no second copy
     # of the text is held; a leading byte-order mark is skipped.
     lines = _LINE.finditer(text, 1 if text.startswith("\ufeff") else 0)
@@ -236,6 +242,7 @@ def parse_matrix_csv(
             # not count.
             _check_max_size(max_size, len(rows) + 1 - labeled)
             rows.append(row)
+            line_nums.append(reader.line_num)
     except csv.Error as exc:
         # such as a field longer than csv.field_size_limit()
         raise CitationDataError(f"malformed CSV at line {reader.line_num}: {exc}") from exc
@@ -243,7 +250,7 @@ def parse_matrix_csv(
         raise CitationDataError("input contains no data rows")
 
     width = len(rows[0])
-    for lineno, row in enumerate(rows, start=1):
+    for lineno, row in zip(line_nums, rows):
         if len(row) != width:
             raise CitationDataError(
                 f"ragged row: line {lineno} has {len(row)} fields, expected {width}"

@@ -24,6 +24,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import unicodedata
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
@@ -51,10 +52,13 @@ class Section:
     writer formats a float64 array's cells with 12 significant digits, and
     in any other array a Python int keeps all its digits.
 
-    A section is well formed: ``values`` has one row per label and one
-    column per name in ``header[1:]``, labels and column names are unique,
+    A section is well formed: ``values`` is a 2-D numpy array of bools,
+    integers or floats, or an object array of real numbers, with one row
+    per label and one column per name in ``header[1:]``; the header holds
+    at least the label column's name; labels and column names are unique;
     and no cell is infinite (NaN marks an undefined value, but an infinite
-    one is an overflow).  The key, labels and header are strings.
+    one is an overflow).  The key, title, footer lines, labels and header
+    are strings.
     """
 
     key: str
@@ -65,6 +69,13 @@ class Section:
     footer: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.values, np.ndarray):
+            raise CitationDataError(
+                f"section {self.key!r} has values of type {type(self.values).__name__}, "
+                "not a numpy array"
+            )
+        if not self.header:
+            raise CitationDataError(f"section {self.key!r} has an empty header")
         columns = self.header[1:]
         shape = (len(self.labels), len(columns))
         if self.values.shape != shape:
@@ -72,12 +83,30 @@ class Section:
                 f"section {self.key!r} has values of shape {self.values.shape} "
                 f"for {shape[0]} labels and {shape[1]} columns"
             )
-        named = (("key", (self.key,)), ("label", self.labels), ("column name", self.header))
+        named = (
+            ("key", (self.key,)),
+            ("title", (self.title,)),
+            ("footer line", self.footer),
+            ("label", self.labels),
+            ("column name", self.header),
+        )
         for kind, names in named:
             for name in names:
                 if not isinstance(name, str):
                     raise CitationDataError(
                         f"section {self.key!r} has a {kind} that is not a string: {name!r}"
+                    )
+        if self.values.dtype.kind not in "biufO":
+            raise CitationDataError(
+                f"section {self.key!r} has values of dtype {self.values.dtype}, "
+                "not bools, integers or floats"
+            )
+        # only an object array can hold a cell that its dtype does not say
+        if self.values.dtype.kind == "O":
+            for cell in self.values.flat:
+                if not isinstance(cell, numbers.Real):
+                    raise CitationDataError(
+                        f"section {self.key!r} has a cell that is not a real number: {cell!r}"
                     )
         for kind, names in (("label", self.labels), ("column name", columns)):
             if len(set(names)) != len(names):

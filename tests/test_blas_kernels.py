@@ -4,7 +4,8 @@ Each command runs in two child processes that differ only in
 ``OPENBLAS_CORETYPE``: ``Haswell`` (AVX2) and ``Sandybridge`` (AVX).  The
 two are compared with each other, not with the kernel this CPU selects, so
 the verdict is the same on every x86-64 CPU that can run both.  The rows
-marked xfail print digits that are rounding of BLAS sums (ROADMAP item 14);
+that pass are those of ``tests/reports/commands``, the committed report
+text, each on ``--fixture price``.  The rows marked xfail print digits that are rounding of BLAS sums (ROADMAP item 14);
 a row that starts to pass fails the run, so that its mark is removed.
 """
 
@@ -15,6 +16,8 @@ import sys
 
 import numpy as np
 import pytest
+
+from test_report_text import COMMANDS
 
 KERNELS = ("Haswell", "Sandybridge")
 
@@ -64,13 +67,8 @@ def _stdout(kernel: str, args: list[str]) -> bytes:
 @pytest.mark.parametrize(
     "args",
     [
-        ["iw", "--fixture", "price"],
-        ["iw", "--fixture", "price", "--iterations", "7"],
-        ["pwr", "--fixture", "price"],
-        ["normalize", "--fixture", "price"],
-        ["diagnose", "--fixture", "price"],
-        ["power", "--fixture", "price", "-k", "3"],
-        ["fit", "--fixture", "price", "--iterations", "7"],
+        # every committed report row, which must not depend on the kernel
+        *([command, "--fixture", "price", *rest] for command, *rest in COMMANDS.values()),
         pytest.param(["fit", "--fixture", "price"], marks=KERNEL_DEPENDENT),
         pytest.param(["sensitivity", "--fixture", "price"], marks=KERNEL_DEPENDENT),
         pytest.param(

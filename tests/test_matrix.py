@@ -131,6 +131,20 @@ class TestParse:
             parse_matrix_csv("1,2\n3\n")
 
     @pytest.mark.parametrize(
+        "text, labeled, message",
+        [
+            ("1,2\n\n3,4,5\n", False, "ragged row: line 3 has 3 fields, expected 2"),
+            ("1,2\r\r3,4,5\r", False, "ragged row: line 3 has 3 fields, expected 2"),
+            (',"A\nx",B\n"A\nx",1,2\nB,3\n', True, "ragged row: line 5 has 2 fields, expected 3"),
+        ],
+        ids=["blank-line", "blank-line-bare-cr", "two-line-label"],
+    )
+    def test_ragged_row_line_counts_every_line_of_the_input(self, text, labeled, message):
+        with pytest.raises(CitationDataError) as exc:
+            parse_matrix_csv(text, labeled=labeled)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("journal,A,B\nA,1,2\nB,3\n", "ragged row: line 3 has 2 fields, expected 3"),
@@ -181,6 +195,16 @@ class TestParse:
         with pytest.raises(CitationDataError, match=expected):
             parse_matrix_csv(text, max_size=max_size)
 
+    @pytest.mark.parametrize("labeled", ["yes", None, 1, 0], ids=["str", "none", "one", "zero"])
+    def test_non_bool_labeled_is_rejected_up_front(self, labeled):
+        with pytest.raises(CitationDataError) as exc:
+            parse_matrix_csv("1,2\n3,4\n", labeled=labeled)
+        assert str(exc.value) == f"labeled must be a bool, got {labeled!r}"
+
+    def test_numpy_bool_labeled_is_accepted(self):
+        assert parse_matrix_csv("j,A,B\nA,1,2\nB,3,4\n", labeled=np.True_).n == 2
+        assert parse_matrix_csv("1,2\n3,4\n", labeled=np.False_).n == 2
+
     @pytest.mark.parametrize(
         "data", [bytearray(b"1,2\n3,4\n"), memoryview(b"1,2\n3,4\n"), ["1,2", "3,4"]],
         ids=["bytearray", "memoryview", "list"],
@@ -216,10 +240,15 @@ class TestParse:
     def _count_rows_read(self, monkeypatch):
         read = []
 
-        def counting_reader(*args, **kwargs):
-            for row in csv.reader(*args, **kwargs):
-                read.append(row)
-                yield row
+        # a real reader, which the parser asks for its line_num, fed through a
+        # counter; each row of these tests is one line
+        def counting_reader(lines, *args, **kwargs):
+            def counted():
+                for line in lines:
+                    read.append(line)
+                    yield line
+
+            return csv.reader(counted(), *args, **kwargs)
 
         # the parser also names csv.Error, to turn a reader error into a data error
         counting_csv = types.SimpleNamespace(reader=counting_reader, Error=csv.Error)

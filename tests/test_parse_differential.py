@@ -127,7 +127,10 @@ PLAIN_EOLS = ("\n", "\r\n", "\r")
 def reference_plain(text, max_size):
     """Counts of headerless text by csv.reader rows and per-cell float(), or
     the error message the parser must give."""
-    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    # each non-blank row, and the line it ends on
+    numbered = [(reader.line_num, row) for row in reader if row]
+    rows = [row for _, row in numbered]
     if len(rows) > max_size:
         return (
             f"matrix has more than {max_size} rows, above the max_size limit "
@@ -136,7 +139,7 @@ def reference_plain(text, max_size):
     if not rows:
         return "input contains no data rows"
     n, width = len(rows), len(rows[0])
-    for lineno, row in enumerate(rows, start=1):
+    for lineno, row in numbered:
         if len(row) != width:
             return f"ragged row: line {lineno} has {len(row)} fields, expected {width}"
     if width != n:

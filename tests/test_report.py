@@ -148,6 +148,32 @@ def test_section_refuses_a_name_that_is_not_a_string(key, header, labels, messag
         Section(key, "S", header, labels, np.ones((1, 1)))
 
 
+@pytest.mark.parametrize(
+    "changed, message",
+    [
+        ({"values": [[1.0]]}, "section 's' has values of type list, not a numpy array"),
+        ({"header": (), "values": np.empty((1, 0))}, "section 's' has an empty header"),
+        ({"title": 1}, "section 's' has a title that is not a string: 1"),
+        ({"footer": ("max", 2)}, "section 's' has a footer line that is not a string: 2"),
+        ({"values": np.ones((1, 1), dtype=complex)}, "section 's' has values of dtype complex128"),
+        ({"values": np.array([["x"]])}, "section 's' has values of dtype <U1"),
+        *(
+            (
+                {"values": np.array([[cell]], dtype=object)},
+                f"section 's' has a cell that is not a real number: {cell!r}",
+            )
+            for cell in ("abc", None, 1j)
+        ),
+    ],
+    ids=["list", "empty-header", "int-title", "int-footer", "complex", "str"]
+    + ["object-str", "object-none", "object-complex"],
+)
+def test_section_refuses_what_its_writers_cannot_write(changed, message):
+    fields = dict(key="s", title="S", header=("journal", "a"), labels=("A",))
+    with pytest.raises(CitationDataError, match=re.escape(message)):
+        Section(**{**fields, "values": np.ones((1, 1)), **changed})
+
+
 def test_section_refuses_a_repeated_column():
     with pytest.raises(CitationDataError, match="section 's' repeats a column name"):
         Section("s", "S", ("journal", "a", "b", "a"), ("A", "B"), np.ones((2, 3)))
