@@ -161,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     groups = {"inputs": inputs, "iteration": iteration, "selfcite": selfcite, "output": output}
     parsers = {
-        name: sub.add_parser(name, parents=[groups[g] for g in names.split()], help=line)
-        for name, (line, names, _, _) in _COMMANDS.items()
+        name: sub.add_parser(name, parents=[groups[g] for g in group_names.split()], help=line)
+        for name, (line, group_names, _, _) in _COMMANDS.items()
     }
     parsers["pwr"].add_argument(
         "--iterations",

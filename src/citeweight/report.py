@@ -101,7 +101,7 @@ class Section:
                 f"section {self.key!r} has values of dtype {self.values.dtype}, "
                 "not bools, integers or floats"
             )
-        # only an object array can hold a cell that its dtype does not say
+        # the dtype vouches for every cell of any other array
         if self.values.dtype.kind == "O":
             for cell in self.values.flat:
                 if not isinstance(cell, numbers.Real):

@@ -5,8 +5,9 @@ Each command runs in two child processes that differ only in
 two are compared with each other, not with the kernel this CPU selects, so
 the verdict is the same on every x86-64 CPU that can run both.  The rows
 that pass are those of ``tests/reports/commands``, the committed report
-text, each on ``--fixture price``.  The rows marked xfail print digits that are rounding of BLAS sums (ROADMAP item 14);
-a row that starts to pass fails the run, so that its mark is removed.
+text, each on ``--fixture price``.  The rows marked xfail print digits
+that are rounding of BLAS sums (ROADMAP item 14); a row that starts to
+pass fails the run, so that its mark is removed.
 """
 
 import os
