@@ -52,6 +52,10 @@ class JournalSet:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.labels, str):
+            raise CitationDataError(
+                f"journal labels are one string, not a sequence of strings: {self.labels!r}"
+            )
         object.__setattr__(self, "labels", tuple(self.labels))
         if not self.labels:
             raise CitationDataError("journal set is empty")

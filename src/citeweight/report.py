@@ -57,8 +57,8 @@ class Section:
     per label and one column per name in ``header[1:]``; the header holds
     at least the label column's name; labels and column names are unique;
     and no cell is infinite (NaN marks an undefined value, but an infinite
-    one is an overflow).  The key, title, footer lines, labels and header
-    are strings.
+    one is an overflow).  The key and title are strings, and the header,
+    labels and footer are sequences of strings, never one string.
     """
 
     key: str
@@ -76,13 +76,6 @@ class Section:
             )
         if not self.header:
             raise CitationDataError(f"section {self.key!r} has an empty header")
-        columns = self.header[1:]
-        shape = (len(self.labels), len(columns))
-        if self.values.shape != shape:
-            raise CitationDataError(
-                f"section {self.key!r} has values of shape {self.values.shape} "
-                f"for {shape[0]} labels and {shape[1]} columns"
-            )
         named = (
             ("key", (self.key,)),
             ("title", (self.title,)),
@@ -91,11 +84,23 @@ class Section:
             ("column name", self.header),
         )
         for kind, names in named:
+            # a string is a sequence of strings, one per character
+            if isinstance(names, str):
+                raise CitationDataError(
+                    f"section {self.key!r} has {kind}s given as one string: {names!r}"
+                )
             for name in names:
                 if not isinstance(name, str):
                     raise CitationDataError(
                         f"section {self.key!r} has a {kind} that is not a string: {name!r}"
                     )
+        columns = self.header[1:]
+        shape = (len(self.labels), len(columns))
+        if self.values.shape != shape:
+            raise CitationDataError(
+                f"section {self.key!r} has values of shape {self.values.shape} "
+                f"for {shape[0]} labels and {shape[1]} columns"
+            )
         if self.values.dtype.kind not in "biufO":
             raise CitationDataError(
                 f"section {self.key!r} has values of dtype {self.values.dtype}, "

@@ -40,6 +40,10 @@ class TestJournalSet:
         with pytest.raises(CitationDataError, match="journal set is empty"):
             JournalSet(())
 
+    def test_one_string_of_labels_rejected(self):
+        with pytest.raises(CitationDataError, match="journal labels are one string.*'AB'"):
+            JournalSet("AB")
+
 
 class TestCitationMatrix:
     def test_rejects_non_square(self):

@@ -155,6 +155,9 @@ def test_section_refuses_a_name_that_is_not_a_string(key, header, labels, messag
         ({"header": (), "values": np.empty((1, 0))}, "section 's' has an empty header"),
         ({"title": 1}, "section 's' has a title that is not a string: 1"),
         ({"footer": ("max", 2)}, "section 's' has a footer line that is not a string: 2"),
+        ({"footer": "max 1"}, "section 's' has footer lines given as one string: 'max 1'"),
+        ({"header": "ja"}, "section 's' has column names given as one string: 'ja'"),
+        ({"labels": "A"}, "section 's' has labels given as one string: 'A'"),
         ({"values": np.ones((1, 1), dtype=complex)}, "section 's' has values of dtype complex128"),
         ({"values": np.array([["x"]])}, "section 's' has values of dtype <U1"),
         *(
@@ -165,7 +168,8 @@ def test_section_refuses_a_name_that_is_not_a_string(key, header, labels, messag
             for cell in ("abc", None, 1j)
         ),
     ],
-    ids=["list", "empty-header", "int-title", "int-footer", "complex", "str"]
+    ids=["list", "empty-header", "int-title", "int-footer", "str-footer", "str-header"]
+    + ["str-labels", "complex", "str"]
     + ["object-str", "object-none", "object-complex"],
 )
 def test_section_refuses_what_its_writers_cannot_write(changed, message):
