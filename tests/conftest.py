@@ -19,6 +19,15 @@ def small():
     return CitationMatrix(JournalSet(("A", "B", "C")), counts)
 
 
+@pytest.fixture(scope="session")
+def outputs():
+    """Every report row's exit code, stdout and stderr under each BLAS kernel
+    setting, from one child process per setting (``test_report_text``)."""
+    from test_report_text import run_rows
+
+    return run_rows()
+
+
 def matrix_csv(m, labeled=False):
     """CSV text of a matrix that parses back to an equal matrix: integral
     counts without a decimal point, other values as their repr."""

@@ -5,8 +5,9 @@ Each ``name args...`` line of ``tests/reports/commands`` is a subcommand whose
 stdout on ``--fixture price`` is committed as ``name.table``, ``.csv`` and
 ``.json``, as ``tests/reports/regenerate.sh`` writes them.  One child process
 per kernel setting runs every row through ``cli.main``, and each committed
-row must print its file under every setting.  The rows that print rounding
-of BLAS sums (ROADMAP item 14) are strict xfails until each prints one text.
+row must print its file under every setting.  ``test_blas_kernels`` compares
+the settings with each other on the same outputs, including the rows that
+print rounding of BLAS sums (ROADMAP item 14).
 """
 
 import difflib
@@ -26,8 +27,10 @@ REPORTS = Path(__file__).parent / "reports"
 
 #: Arguments of each committed report, by file stem.
 COMMANDS = {
-    name: [*args, "--fixture", "price"]
-    for name, *args in map(str.split, (REPORTS / "commands").read_text("utf-8").splitlines())
+    name: [command, "--fixture", "price", *rest]
+    for name, command, *rest in map(
+        str.split, (REPORTS / "commands").read_text("utf-8").splitlines()
+    )
 }
 
 #: Arguments of each row whose text depends on the BLAS kernel today.
@@ -74,9 +77,10 @@ def _kernels() -> list[str]:
     return ["default", *(kernel for kernel, flag in needs.items() if flag in flags)]
 
 
-@pytest.fixture(scope="module")
-def outputs():
-    # {kernel setting: {row: [code, stdout, stderr]}}, the children run side by side
+def run_rows() -> dict[str, dict[str, list]]:
+    """{kernel setting: {row: [code, stdout, stderr]}}, the children run side by
+    side.  ``conftest.outputs`` calls it once a session, for this module and
+    ``test_blas_kernels``."""
     base = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
     children = {
         kernel: subprocess.Popen(
@@ -112,15 +116,6 @@ def test_stdout_matches_committed_report(outputs, name, fmt):
             lines = (text.splitlines(keepends=True) for text in (expected, out))
             diff = difflib.unified_diff(*lines, f"reports/{path.name}", kernel)
             pytest.fail("report text changed:\n" + "".join(diff), pytrace=False)
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
-@pytest.mark.parametrize("name", KERNEL_DEPENDENT)
-def test_kernel_dependent_row_prints_one_text(outputs, name):
-    if len(outputs) == 1:
-        pytest.skip("only the default kernel setting runs on this host")
-    for fmt in FORMATS:
-        assert len({tuple(rows[f"{name}.{fmt}"]) for rows in outputs.values()}) == 1, fmt
 
 
 def test_reports_holds_what_commands_names():
