@@ -46,16 +46,22 @@ ROWS = {
     for name, args in {**COMMANDS, **KERNEL_DEPENDENT}.items() for fmt in FORMATS
 }
 
-# each row's exit code, stdout (through a byte buffer, as to a pipe) and stderr
+# each row's exit code, stdout (through a byte buffer, as to a pipe) and
+# stderr; a row that raises, as a warning does under -W error, has no exit
+# code and its traceback as stderr
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, traceback
 from citeweight.cli import main
 results = {}
 for key, args in json.loads(sys.argv[1]).items():
     out, err = io.BytesIO(), io.StringIO()
     text = io.TextIOWrapper(out, encoding="utf-8")
     with contextlib.redirect_stdout(text), contextlib.redirect_stderr(err):
-        code = main(args)
+        try:
+            code = main(args)
+        except Exception:
+            code = None
+            traceback.print_exc()
     results[key] = [code, out.getvalue().decode(), err.getvalue()]
 print(json.dumps(results))
 """
@@ -80,11 +86,13 @@ def _kernels() -> list[str]:
 def run_rows() -> dict[str, dict[str, list]]:
     """{kernel setting: {row: [code, stdout, stderr]}}, the children run side by
     side.  ``conftest.outputs`` calls it once a session, for this module and
-    ``test_blas_kernels``."""
+    ``test_blas_kernels``.  Each child runs in dev mode with every warning an
+    error, as pytest's ``filterwarnings`` does in-process: a warning that a
+    row raises fails that row, and one raised outside a row fails them all."""
     base = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
     children = {
         kernel: subprocess.Popen(
-            [sys.executable, "-c", CHILD, json.dumps(ROWS)],
+            [sys.executable, "-X", "dev", "-W", "error", "-c", CHILD, json.dumps(ROWS)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=base if kernel == "default" else {**base, "OPENBLAS_CORETYPE": kernel},
@@ -111,7 +119,7 @@ def test_stdout_matches_committed_report(outputs, name, fmt):
     expected = path.read_bytes().decode()
     for kernel, rows in outputs.items():
         code, out, err = rows[path.name]
-        assert (code, err) == (0, ""), kernel
+        assert (code, err) == (0, ""), f"under {kernel}:\n{err}"
         if out != expected:
             lines = (text.splitlines(keepends=True) for text in (expected, out))
             diff = difflib.unified_diff(*lines, f"reports/{path.name}", kernel)
